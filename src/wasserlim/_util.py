@@ -1,18 +1,13 @@
-"""Internal helpers: seeded RNG streams, worker pool, float formatting."""
+"""Internal helpers: seeded RNG streams, ordered mapping, weight vectors."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Environment variable capping the worker count for batch operations.
-THREADS_ENV = "WASSERLIM_THREADS"
 
 
 def make_rng(seed: int, *path: int) -> np.random.Generator:
@@ -28,33 +23,14 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def worker_count() -> int:
-    """Worker cap from the environment; defaults to 1 (sequential)."""
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map ``fn`` over ``items``, preserving order.
+    """Map ``fn`` over ``items`` in order.
 
-    Runs on a thread pool when WASSERLIM_THREADS > 1. Results are collected
-    in input order either way, so reductions downstream see a deterministic
-    sequence.
+    Sequential: the solver is pure Python and holds the GIL, so a thread
+    pool measured no faster. It stays a named function because the
+    benchmark's per-layer trace counts its calls (``util.ordered_map``).
     """
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
-def fmt17(x: float) -> str:
-    """Serialize a float with 17 significant digits (golden-test exact)."""
-    return format(float(x), ".17g")
+    return [fn(x) for x in items]
 
 
 def as_weight_vector(values: Iterable[float], n: int, what: str) -> np.ndarray:

@@ -15,7 +15,6 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 
-from ._util import fmt17
 from .curvature import estimate_k
 from .errors import WasserlimError
 from .geodesics import displacement_path
@@ -135,7 +134,7 @@ def transport(ctx, mu_path, nu_path, p, coupling_path):
         value, coupling = wasserstein_p(mu, nu, p)
         if coupling_path:
             write_json(coupling_path, coupling_to_dict(coupling))
-        click.echo(f"w{p:g} = {fmt17(value)}")
+        click.echo(f"w{p:g} = {value:.17g}")
 
     _run(go)
 
@@ -174,8 +173,8 @@ def geodesic(ctx, mu0_path, mu1_path, grid, out_path):
                 "measures": [[float(w) for w in m.weights] for m in path.measures],
             })
         click.echo(
-            f"w2 = {fmt17(path.endpoints_cost)}, "
-            f"constant-speed defect = {fmt17(path.constant_speed_defect)}"
+            f"w2 = {path.endpoints_cost:.17g}, "
+            f"constant-speed defect = {path.constant_speed_defect:.17g}"
         )
 
     _run(go)
@@ -350,7 +349,7 @@ def sequence(ctx, case_dir, quantity, p, tol, pairs, seed, csv_path,
             )
         click.echo(
             f"{verdict.quantity}: stabilized={str(verdict.stabilized).lower()} "
-            f"limit_estimate={fmt17(verdict.limit_estimate)} "
+            f"limit_estimate={verdict.limit_estimate:.17g} "
             f"tail_start={verdict.tail_start}"
         )
 
@@ -391,8 +390,8 @@ def counterexample(ctx, n_list, csv_path, svg_path):
                 encoding="utf-8",
             )
         click.echo(
-            f"counterexample: w2 in [{fmt17(min(w2))}, {fmt17(max(w2))}], "
-            f"tv down to {fmt17(min(tv))} over {len(n_values)} values of N"
+            f"counterexample: w2 in [{min(w2):.17g}, {max(w2):.17g}], "
+            f"tv down to {min(tv):.17g} over {len(n_values)} values of N"
         )
 
     _run(go)
@@ -426,7 +425,7 @@ def quantize(ctx, mu_path, delta, p, out_path):
             }
             write_json(out_path, doc)
         click.echo(
-            f"N = {result.n_atoms} atoms, error = {fmt17(result.error)}, "
+            f"N = {result.n_atoms} atoms, error = {result.error:.17g}, "
             f"covering budget k(delta) = {result.covering_budget}"
         )
 
@@ -443,7 +442,7 @@ def validate(ctx, space_path):
     def go():
         space = load_space(space_path)
         click.echo(
-            f"metric OK (n={space.n_points}, diam={fmt17(diameter(space))})"
+            f"metric OK (n={space.n_points}, diam={diameter(space):.17g})"
         )
 
     _run(go)

@@ -193,7 +193,8 @@ def estimate_k(
         for mid in _midpoint_candidates(coupling, True):
             h_mid = relative_entropy(mid, lam)
             value = 8.0 * (0.5 * h0 + 0.5 * h1 - h_mid) / cost**2
-            if value > best_value:
+            # A midpoint of infinite entropy scores -inf; keep the first one.
+            if best_mid is None or value > best_value:
                 best_value, best_mid, best_h = value, mid, h_mid
         return (best_value, nu0, nu1, best_mid, h0, h1, best_h, cost)
 

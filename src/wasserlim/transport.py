@@ -59,7 +59,7 @@ class _SolverState:
     u: np.ndarray
     v: np.ndarray
     #: True when the presented coupling is the transpose of the solved one.
-    flipped: bool = False
+    flipped: bool
 
 
 @dataclass(frozen=True)
@@ -115,24 +115,11 @@ def wasserstein_p(
     space = _shared_space(mu, nu)
     if p < 1:
         raise ValueError("p must be >= 1")
-    if nu.weights.tobytes() < mu.weights.tobytes():
-        value, inner = _solve_oriented(nu, mu, p)
-        st = inner._state
-        state = _SolverState(st.rows, st.cols, st.cost_float, st.cost_int,
-                             st.flows, st.basic, st.u, st.v, flipped=True)
-        return value, Coupling(mu.space, nu.space, inner.matrix.T.copy(),
-                               value, p, state)
-    return _solve_oriented(mu, nu, p)
-
-
-def _solve_oriented(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, p: float
-) -> tuple[float, Coupling]:
-    rows = mu.support
-    cols = nu.support
-    a = mu.weights[rows]
-    b = nu.weights[cols]
-    cost_float = mu.space.dist[np.ix_(rows, cols)] ** p
+    flipped = nu.weights.tobytes() < mu.weights.tobytes()
+    src, dst = (nu, mu) if flipped else (mu, nu)
+    rows = src.support
+    cols = dst.support
+    cost_float = space.dist[np.ix_(rows, cols)] ** p
     # Guard on the float side: the int64 cast itself wraps on overflow.
     biggest = float(np.abs(cost_float).max(initial=0.0)) * SCALE
     if not np.isfinite(biggest) or biggest * (len(rows) + len(cols) + 2) >= 2.0**60:
@@ -141,28 +128,47 @@ def _solve_oriented(
             "toward the documented O(1)-O(1e3) range"
         )
     cost_int = np.rint(cost_float * SCALE).astype(np.int64)
-    flows, basic, u, v = _network_simplex(a, b, cost_int)
-    cost_pow = 0.0
-    gamma = np.zeros((mu.space.n_points, nu.space.n_points))
-    for (i, j), f in sorted(flows.items()):
-        cost_pow += f * cost_float[i, j]
-        gamma[rows[i], cols[j]] = f
-    value = cost_pow ** (1.0 / p)
+    flows, basic, u, v = _network_simplex(src.weights[rows], dst.weights[cols], cost_int)
     state = _SolverState(rows, cols, cost_float, cost_int, flows,
-                         frozenset(basic), u, v)
-    return value, Coupling(mu.space, nu.space, gamma, value, p, state)
+                         frozenset(basic), u, v, flipped)
+    return _coupling_from_state(state, mu.space, nu.space, p)
+
+
+def _coupling_from_state(
+    state: _SolverState,
+    row_space: FiniteMetricSpace,
+    col_space: FiniteMetricSpace,
+    p: float,
+) -> tuple[float, Coupling]:
+    """The presented coupling of a solver state, and its W_p value.
+
+    Flows are summed in arc order, so a plan and its transpose share every
+    rounding.
+    """
+    cost_pow = 0.0
+    gamma = np.zeros((row_space.n_points, col_space.n_points))
+    for (i, j), f in sorted(state.flows.items()):
+        cost_pow += f * state.cost_float[i, j]
+        gamma[state.rows[i], state.cols[j]] = f
+    if state.flipped:
+        gamma = gamma.T.copy()
+    value = cost_pow ** (1.0 / p)
+    return value, Coupling(row_space, col_space, gamma, value, p, state)
+
+
+def _zero_cost_nonbasic(state: _SolverState) -> list[tuple[int, int]]:
+    """Nonbasic arcs with reduced cost exactly zero, in arc-index order."""
+    red = state.cost_int - state.u[:, None] - state.v[None, :]
+    mask = red == 0
+    for i, j in state.basic:
+        mask[i, j] = False
+    return [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
 
 
 def has_alternate_optimum(coupling: Coupling) -> bool:
     """Whether a second optimal basis exists (zero reduced cost check)."""
     st = coupling._state
-    if st is None:
-        return False
-    red = st.cost_int - st.u[:, None] - st.v[None, :]
-    nonbasic_zero = (red == 0)
-    for (i, j) in st.basic:
-        nonbasic_zero[i, j] = False
-    return bool(nonbasic_zero.any())
+    return st is not None and bool(_zero_cost_nonbasic(st))
 
 
 def alternate_optimal_couplings(coupling: Coupling, limit: int = 8) -> list[Coupling]:
@@ -178,47 +184,20 @@ def alternate_optimal_couplings(coupling: Coupling, limit: int = 8) -> list[Coup
     if st is None or limit <= 0:
         return []
     m, n = st.cost_int.shape
-    red = st.cost_int - st.u[:, None] - st.v[None, :]
-    candidates = sorted(
-        (i, j)
-        for i in range(m)
-        for j in range(n)
-        if red[i, j] == 0 and (i, j) not in st.basic
-    )
-    out: list[Coupling] = []
     parent, order = _build_tree(st.basic, m, n)
     depth = _depths(parent, order)
-    for arc in candidates:
-        cells, signs = _pivot_cycle(parent, depth, m, arc)
-        theta = min(st.flows[c] for c, s in zip(cells, signs) if s < 0)
+    out: list[Coupling] = []
+    for arc in _zero_cost_nonbasic(st):
+        flows = dict(st.flows)
+        theta, leaving = _pivot(parent, depth, m, flows, arc)
         if theta <= 0.0:
             continue
-        new_flows = dict(st.flows)
-        leaving = None
-        for c, s in zip(cells, signs):
-            if s > 0:
-                new_flows[c] = new_flows.get(c, 0.0) + theta
-            else:
-                new_flows[c] = max(new_flows[c] - theta, 0.0)
-                if leaving is None and st.flows[c] == theta:
-                    leaving = c
-        new_flows.pop(leaving)
-        new_basic = frozenset(st.basic - {leaving} | {arc})
-        cost_pow = 0.0
-        gamma = np.zeros_like(coupling.matrix)
-        for (i, j), f in sorted(new_flows.items()):
-            cost_pow += f * st.cost_float[i, j]
-            if st.flipped:
-                gamma[st.cols[j], st.rows[i]] = f
-            else:
-                gamma[st.rows[i], st.cols[j]] = f
-        value = cost_pow ** (1.0 / coupling.p)
         # The entering arc has zero reduced cost, so u and v stay valid
         # optimal potentials for the new basis.
-        new_state = _SolverState(st.rows, st.cols, st.cost_float, st.cost_int,
-                                 new_flows, new_basic, st.u, st.v, st.flipped)
-        out.append(Coupling(coupling.row_space, coupling.col_space, gamma,
-                            value, coupling.p, new_state))
+        state = _SolverState(st.rows, st.cols, st.cost_float, st.cost_int, flows,
+                             st.basic - {leaving} | {arc}, st.u, st.v, st.flipped)
+        out.append(_coupling_from_state(state, coupling.row_space,
+                                        coupling.col_space, coupling.p)[1])
         if len(out) >= limit:
             break
     return out
@@ -493,6 +472,29 @@ def _pivot_cycle(parent, depth, m: int, arc: tuple[int, int]):
     return cells, signs
 
 
+def _pivot(parent, depth, m: int, flows: dict, entering: tuple[int, int]):
+    """Push flow around the cycle that ``entering`` closes.
+
+    Theta is the least flow on the draining cells; the leaving arc is the
+    lowest-index drained cell that carried exactly theta. ``flows`` is
+    updated in place, the leaving arc dropped from it, and
+    ``(theta, leaving)`` returned.
+    """
+    cells, signs = _pivot_cycle(parent, depth, m, entering)
+    drains = [c for c, s in zip(cells, signs) if s < 0]
+    if not drains:
+        raise SolverFailure("unbounded pivot on a bounded polytope")
+    theta = min(flows[c] for c in drains)
+    leaving = min(c for c in drains if flows[c] == theta)
+    for c, s in zip(cells, signs):
+        if s > 0:
+            flows[c] = flows.get(c, 0.0) + theta
+        else:
+            flows[c] = max(flows[c] - theta, 0.0)
+    flows.pop(leaving)
+    return theta, leaving
+
+
 def _network_simplex(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
     """Minimize the integer-scaled cost over the transport polytope.
 
@@ -521,18 +523,7 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
             k = int(np.argmax(negative))
         entering = (k // n, k % n)
         depth = _depths(parent, order)
-        cells, signs = _pivot_cycle(parent, depth, m, entering)
-        drains = [c for c, s in zip(cells, signs) if s < 0]
-        if not drains:
-            raise SolverFailure("unbounded pivot on a bounded polytope")
-        theta = min(flows[c] for c in drains)
-        leaving = min(c for c in drains if flows[c] == theta)
-        for c, s in zip(cells, signs):
-            if s > 0:
-                flows[c] = flows.get(c, 0.0) + theta
-            else:
-                flows[c] = max(flows[c] - theta, 0.0)
-        flows.pop(leaving)
+        _, leaving = _pivot(parent, depth, m, flows, entering)
         basic.discard(leaving)
         basic.add(entering)
         pivots += 1

@@ -25,6 +25,10 @@ SUBCOMMANDS = (
 
 PATH3 = {"points": ["a", "b", "c"], "base": 0, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}
 
+# No reference mass on b: every midpoint of mass moving between a and c
+# lands on b, so its entropy is infinite and the witnessed K is -inf.
+HOLED = [0.5, 0.0, 0.5]
+
 
 def write_doc(path: Path, doc: dict) -> Path:
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -244,6 +248,18 @@ class TestCd:
         assert report["k_hint"] == -1e9
         assert report["hint_satisfied"] is True
 
+    def test_infinite_midpoint_entropy_reports_minus_infinity(self, runner, tmp_path):
+        lam = write_doc(tmp_path / "holed.json", {"space": PATH3, "weights": HOLED})
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["cd", "--lambda", str(lam), "--pairs", "3", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == "k_witnessed = -inf (3 pairs, 0 skipped)\n"
+        text = out.read_text()
+        assert '"k_witnessed": "-inf"' in text
+        assert len(json.loads(text)["worst_pair"]["midpoint"]) == 3
+
     def test_zero_pairs_is_a_usage_error(self, runner, dyadic3_reference):
         result = runner.invoke(
             main, ["cd", "--lambda", str(dyadic3_reference), "--pairs", "0"]
@@ -346,6 +362,28 @@ class TestSequence:
         doc = json.loads(summary.read_text())
         assert doc["quantity"] == "k_witnessed"
         assert len(doc["values"]) == 2
+
+    def test_infinite_values_print_bare_and_write_quoted(self, runner, tmp_path):
+        d = tmp_path / "cases"
+        d.mkdir()
+        for name in ("a", "b", "c"):
+            write_doc(d / f"{name}.json", {"space": PATH3, "lambda": HOLED})
+        csv = tmp_path / "k.csv"
+        result = runner.invoke(
+            main,
+            ["sequence", "--dir", str(d), "--quantity", "k", "--pairs", "3",
+             "--csv", str(csv)],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == (
+            "k_witnessed: stabilized=false limit_estimate=-inf tail_start=1\n"
+        )
+        assert csv.read_text() == (
+            'index,label,value\n0,a,"-inf"\n1,b,"-inf"\n2,c,"-inf"\n'
+        )
+        summary = (tmp_path / "k.summary.json").read_text()
+        assert '"limit_estimate": "-inf"' in summary
+        assert '"values": ["-inf", "-inf", "-inf"]' in summary
 
     def test_missing_mu_for_distance_quantity_is_a_domain_error(
         self, runner, tmp_path
@@ -533,19 +571,6 @@ class TestDeterminism:
             assert result.exit_code == 0
             outputs.append(csv.read_bytes())
         assert outputs[0] == outputs[1]
-
-    def test_worker_count_does_not_change_artifacts(self, runner, sequence_dir, tmp_path):
-        texts = []
-        for env in (None, {"WASSERLIM_THREADS": "4"}):
-            csv = tmp_path / f"threads_{bool(env)}.csv"
-            result = runner.invoke(
-                main,
-                ["sequence", "--dir", str(sequence_dir), "--csv", str(csv)],
-                env=env,
-            )
-            assert result.exit_code == 0
-            texts.append(csv.read_text())
-        assert texts[0] == texts[1]
 
 
 class TestHelp:

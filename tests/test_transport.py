@@ -253,12 +253,15 @@ class TestNearestAtomProjection:
 
 
 class TestAlternateOptima:
-    def _square_tie(self):
+    def _square_measures(self):
         # 4-cycle: both matchings of {0,2} onto {1,3} cost the same
         space = graph_metric(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
         mu = DiscreteMeasure(space, np.array([0.5, 0.0, 0.5, 0.0]))
         nu = DiscreteMeasure(space, np.array([0.0, 0.5, 0.0, 0.5]))
-        return wasserstein_p(mu, nu, 2.0)
+        return mu, nu
+
+    def _square_tie(self):
+        return wasserstein_p(*self._square_measures(), 2.0)
 
     def test_tie_detected(self):
         _, coupling = self._square_tie()
@@ -277,6 +280,20 @@ class TestAlternateOptima:
                 other.matrix.sum(axis=0), coupling.matrix.sum(axis=0), atol=1e-12
             )
             assert other.cost_p == pytest.approx(value, abs=1e-9)
+
+    def test_alternates_transpose_with_argument_order(self):
+        # One order is solved as given and the other flipped; both must
+        # present the same plans.
+        mu, nu = self._square_measures()
+        _, there = wasserstein_p(mu, nu, 2.0)
+        _, back = wasserstein_p(nu, mu, 2.0)
+        assert there._state.flipped != back._state.flipped
+        forward = alternate_optimal_couplings(there)
+        backward = alternate_optimal_couplings(back)
+        assert len(forward) == len(backward) >= 1
+        for f, b in zip(forward, backward):
+            assert np.array_equal(f.matrix, b.matrix.T)
+            assert f.cost_p.hex() == b.cost_p.hex()
 
     def test_unique_optimum_has_no_alternates(self, path3):
         mu = DiscreteMeasure.dirac(path3, 0)

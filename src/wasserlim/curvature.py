@@ -28,11 +28,7 @@ from .errors import (
 from .geodesics import WassersteinPath, interpolate_coupling
 from .measures import DiscreteMeasure
 from .spaces import FiniteMetricSpace, diameter, same_space
-from .transport import (
-    alternate_optimal_couplings,
-    has_alternate_optimum,
-    wasserstein_p,
-)
+from .transport import alternate_optimal_couplings, wasserstein_p
 
 #: Default absolute tolerance on entropy comparisons.
 ENTROPY_TOL = 1e-7
@@ -102,13 +98,13 @@ def relative_entropy(
     return float(lw @ xlogx)
 
 
-def _midpoint_candidates(coupling, search_alternates: bool):
+def _midpoint_candidates(coupling):
     """Primary displacement midpoint, then midpoints from alternate
-    optimal couplings when the optimum is non-unique."""
-    couplings = [coupling]
-    if search_alternates and has_alternate_optimum(coupling):
-        couplings.extend(alternate_optimal_couplings(coupling))
-    return [interpolate_coupling(c, 0.5)[0] for c in couplings]
+    optimal couplings when the optimum is non-unique; the alternates are
+    only searched once the primary midpoint has been consumed."""
+    yield interpolate_coupling(coupling, 0.5)[0]
+    for alternate in alternate_optimal_couplings(coupling):
+        yield interpolate_coupling(alternate, 0.5)[0]
 
 
 def cd_midpoint_check(
@@ -132,14 +128,12 @@ def cd_midpoint_check(
         raise InfiniteEntropy("endpoint entropy is infinite")
     cost, coupling = wasserstein_p(nu0, nu1, 2)
     rhs = 0.5 * h0 + 0.5 * h1 - (k / 8.0) * cost**2
-    primary = interpolate_coupling(coupling, 0.5)[0]
-    slack = rhs - relative_entropy(primary, lam)
-    if slack < -tol and has_alternate_optimum(coupling):
-        for mid in _midpoint_candidates(coupling, True)[1:]:
-            slack = max(slack, rhs - relative_entropy(mid, lam))
-            if slack >= -tol:
-                break
-    return CdCheck(slack >= -tol, slack)
+    slack = -math.inf
+    for mid in _midpoint_candidates(coupling):
+        slack = max(slack, rhs - relative_entropy(mid, lam))
+        if slack >= -tol:
+            break
+    return CdCheck(bool(slack >= -tol), float(slack))
 
 
 def random_density_pair(
@@ -190,7 +184,7 @@ def estimate_k(
         best_value = -math.inf
         best_mid = None
         best_h = math.inf
-        for mid in _midpoint_candidates(coupling, True):
+        for mid in _midpoint_candidates(coupling):
             h_mid = relative_entropy(mid, lam)
             value = 8.0 * (0.5 * h0 + 0.5 * h1 - h_mid) / cost**2
             # A midpoint of infinite entropy scores -inf; keep the first one.
@@ -268,7 +262,7 @@ def log_sobolev_check(
         if f[j] > 0:
             fisher += lam.weights[j] * descending_slope(f, lam.space, int(j)) ** 2 / f[j]
     rhs = fisher / (2.0 * k)
-    return LogSobolevCheck(lhs <= rhs + tol, lhs, rhs)
+    return LogSobolevCheck(bool(lhs <= rhs + tol), lhs, float(rhs))
 
 
 def _sup_density(measure: DiscreteMeasure, lam: DiscreteMeasure) -> float:

@@ -85,11 +85,16 @@ def tail_verdict(
     tail_start = len(vals) // 2
     tail = vals[tail_start:]
     estimate = float(np.median(tail))
-    stabilized = all(abs(v - estimate) <= tol for v in tail)
+
+    def near(v: float) -> bool:
+        # An infinite value equal to the estimate is stable; inf - inf is NaN.
+        return v == estimate or abs(v - estimate) <= tol
+
+    stabilized = all(near(v) for v in tail)
     if stabilized:
         # Report the true onset: constant sequences stabilize at index 0,
         # not at the half-rule cutoff used for the verdict itself.
-        while tail_start > 0 and abs(vals[tail_start - 1] - estimate) <= tol:
+        while tail_start > 0 and near(vals[tail_start - 1]):
             tail_start -= 1
     return StabilizationVerdict(
         quantity=quantity,

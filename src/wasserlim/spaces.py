@@ -7,13 +7,14 @@ shortest-path trees are available for geodesic interpolation.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     Asymmetric,
@@ -62,8 +63,9 @@ class FiniteMetricSpace:
             if geodesic_structure is not None
             else None
         )
-        self._adj: Optional[list[list[tuple[int, float]]]] = None
-        self._trees: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # One (distances, predecessors) row pair per source, views into the
+        # all-pairs arrays; a list lookup keeps shortest_path cheap.
+        self._paths: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
 
     @property
     def n_points(self) -> int:
@@ -103,31 +105,20 @@ class FiniteMetricSpace:
             f"{kind}, diam={diameter(self):g})"
         )
 
-    # Shortest-path trees are cached per source; the cache is the only
-    # mutable state and is append-only, so concurrent readers are safe.
     def shortest_path_tree(self, source: int) -> tuple[np.ndarray, np.ndarray]:
         """(distances, predecessors) from ``source`` over the edge graph.
 
         Predecessor ties at equal distance resolve to the lowest vertex
         index, so reconstructed paths are the lexicographically smallest
-        shortest paths and identical across runs.
+        shortest paths and identical across runs. All sources are solved
+        in one pass, the first time any tree of the space is asked for;
+        the rows returned are read-only.
         """
         if self._edges is None:
             raise ValueError("space has no geodesic structure")
-        cached = self._trees.get(source)
-        if cached is not None:
-            return cached
-        if self._adj is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in self.points]
-            for u, v, w in self._edges:
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
-        tree = _dijkstra(self._adj, source, self.n_points)
-        self._trees[source] = tree
-        return tree
+        if self._paths is None:
+            self._paths = list(zip(*_shortest_paths(self.n_points, self._edges)))
+        return self._paths[source]
 
     def shortest_path(self, x: int, y: int) -> list[int]:
         """Vertex sequence of the canonical shortest x-y path."""
@@ -285,25 +276,18 @@ def graph_metric(
             raise NonpositiveWeight(f"edge ({u},{v}) has weight {w:g}")
         edges.append((u, v, w))
 
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    for lst in adj:
-        lst.sort()
-
-    dist = np.empty((n, n), dtype=np.float64)
-    for s in range(n):
-        d, _ = _dijkstra(adj, s, n)
-        if np.any(np.isinf(d)):
-            missing = int(np.argmax(np.isinf(d)))
-            raise Disconnected(f"vertex {missing} unreachable from {s}")
-        dist[s] = d
+    dist, pred = _shortest_paths(n, edges)
+    unreachable = np.isinf(dist)
+    if unreachable.any():
+        s = int(np.argmax(unreachable.any(axis=1)))
+        missing = int(np.argmax(unreachable[s]))
+        raise Disconnected(f"vertex {missing} unreachable from {s}")
     # Symmetrize away float noise from summing the same weights in two
     # orders; the exactness claim is about the shortest-path values.
-    dist = np.minimum(dist, dist.T)
-    return FiniteMetricSpace(dist, base_point=base_point, names=names,
-                             geodesic_structure=edges)
+    space = FiniteMetricSpace(np.minimum(dist, dist.T), base_point=base_point,
+                              names=names, geodesic_structure=edges)
+    space._paths = list(zip(dist, pred))
+    return space
 
 
 def dyadic_interval_space(level: int) -> FiniteMetricSpace:
@@ -318,34 +302,42 @@ def dyadic_interval_space(level: int) -> FiniteMetricSpace:
     n = 2**level + 1
     names = [j * step for j in range(n)]
     edges = [(j, j + 1, step) for j in range(n - 1)]
-    if n == 1:
-        return FiniteMetricSpace(np.zeros((1, 1)), names=names,
-                                 geodesic_structure=[])
     return graph_metric(names, edges, base_point=0)
 
 
-def _dijkstra(
-    adj: list[list[tuple[int, float]]], source: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-source distances and lowest-index predecessors."""
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0.0
-    done = [False] * n
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and u < pred[v]:
-                # Equal-length route through a smaller-index predecessor:
-                # keep paths canonical without reopening the vertex.
-                pred[v] = u
+def _shortest_paths(n: int, edges: Sequence[Edge]) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs distances and lowest-index predecessors of an edge graph.
+
+    ``pred[s, v]`` is the smallest neighbour u of v with
+    d(s, u) + w(u, v) == d(s, v); it is -1 at the source and at vertices
+    unreachable from it. Both arrays are read-only.
+    """
+    u = np.array([e[0] for e in edges], dtype=np.intp)
+    v = np.array([e[1] for e in edges], dtype=np.intp)
+    w = np.array([e[2] for e in edges], dtype=np.float64)
+    rows, cols, wts = np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w])
+    # csr_matrix sums duplicate entries, so keep only the lightest of
+    # parallel edges; sorting by (row, col) also gives each row its
+    # neighbours in ascending order.
+    order = np.lexsort((wts, cols, rows))
+    rows, cols, wts = rows[order], cols[order], wts[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    cols, wts = cols[first], wts[first]
+    indptr = np.searchsorted(rows[first], np.arange(n + 1))
+    dist = dijkstra(csr_matrix((wts, cols, indptr), shape=(n, n)))
+    pred = np.full((n, n), -1, dtype=np.int64)
+    for x in range(n):
+        lo, hi = indptr[x], indptr[x + 1]
+        if lo == hi:
+            continue  # isolated vertex: argmax over an empty axis raises
+        to_x = dist[:, x:x + 1]
+        # inf + w == inf, so unreachable targets must be ruled out.
+        tight = (dist[:, cols[lo:hi]] + wts[lo:hi] == to_x) & np.isfinite(to_x)
+        found = tight.any(axis=1)
+        pred[found, x] = cols[lo:hi][np.argmax(tight, axis=1)[found]]
+    # The source has no predecessor, even across a zero-weight edge.
+    np.fill_diagonal(pred, -1)
+    dist.setflags(write=False)
+    pred.setflags(write=False)
     return dist, pred

@@ -183,11 +183,14 @@ def alternate_optimal_couplings(coupling: Coupling, limit: int = 8) -> list[Coup
     st = coupling._state
     if st is None or limit <= 0:
         return []
+    arcs = _zero_cost_nonbasic(st)
+    if not arcs:
+        return []
     m, n = st.cost_int.shape
     parent, order = _build_tree(st.basic, m, n)
     depth = _depths(parent, order)
     out: list[Coupling] = []
-    for arc in _zero_cost_nonbasic(st):
+    for arc in arcs:
         flows = dict(st.flows)
         theta, leaving = _pivot(parent, depth, m, flows, arc)
         if theta <= 0.0:

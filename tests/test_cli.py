@@ -376,7 +376,7 @@ class TestSequence:
         )
         assert result.exit_code == 0, result.output
         assert result.output == (
-            "k_witnessed: stabilized=false limit_estimate=-inf tail_start=1\n"
+            "k_witnessed: stabilized=true limit_estimate=-inf tail_start=0\n"
         )
         assert csv.read_text() == (
             'index,label,value\n0,a,"-inf"\n1,b,"-inf"\n2,c,"-inf"\n'

@@ -19,6 +19,7 @@ from wasserlim import (
     validate_metric,
     wasserstein_p,
 )
+from wasserlim import curvature
 from wasserlim.curvature import random_density_pair
 from wasserlim.errors import (
     AbsoluteContinuityFailure,
@@ -139,6 +140,27 @@ class TestCdMidpointCheck:
         with pytest.raises(InfiniteEntropy):
             cd_midpoint_check(nu, lam, lam, 0.0)
 
+    def test_tie_interpolates_each_coupling_once(self, monkeypatch):
+        # 4-cycle: both matchings of {0,2} onto {1,3} are optimal, and no
+        # midpoint meets k = 1e6, so the primary and its one alternate are
+        # each interpolated exactly once.
+        space = graph_metric(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
+        lam = DiscreteMeasure.uniform(space)
+        nu0 = DiscreteMeasure(space, np.array([0.5, 0.0, 0.5, 0.0]))
+        nu1 = DiscreteMeasure(space, np.array([0.0, 0.5, 0.0, 0.5]))
+        calls = []
+        real = curvature.interpolate_coupling
+
+        def counting(coupling, t):
+            calls.append(t)
+            return real(coupling, t)
+
+        monkeypatch.setattr(curvature, "interpolate_coupling", counting)
+        check = cd_midpoint_check(nu0, nu1, lam, 1e6)
+        assert calls == [0.5, 0.5]
+        assert check.holds is False
+        assert type(check.slack) is float
+
 
 class TestEstimateK:
     def test_singleton_reference_all_degenerate(self):
@@ -253,7 +275,8 @@ class TestLogSobolev:
         assert check.lhs == pytest.approx(lhs, abs=1e-12)
         assert check.rhs == pytest.approx(rhs, abs=1e-12)
         # discrete slope loses against the entropy here; recorded, not a bug
-        assert not check.holds
+        assert check.holds is False
+        assert type(check.lhs) is float and type(check.rhs) is float
 
     def test_nonpositive_k(self, path3):
         lam = DiscreteMeasure.uniform(path3)

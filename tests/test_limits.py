@@ -43,6 +43,19 @@ class TestTailVerdict:
         assert verdict.limit_estimate == 2.5
         assert verdict.tail_min == 2.5
 
+    @pytest.mark.parametrize("value", [-math.inf, math.inf])
+    @pytest.mark.parametrize("length", [3, 4])
+    def test_constant_infinite_sequence(self, value, length):
+        verdict = tail_verdict("k", [value] * length, tol=1e-3)
+        assert verdict.stabilized
+        assert verdict.tail_start == 0
+        assert verdict.limit_estimate == value
+
+    def test_infinite_prefix_is_outside_a_finite_tail(self):
+        verdict = tail_verdict("k", [-math.inf, 1.0, 1.0, 1.0], tol=0.5)
+        assert verdict.stabilized
+        assert verdict.tail_start == 1
+
     def test_alternating_values(self):
         verdict = tail_verdict("w2", [1.0, 2.0, 1.0, 2.0, 1.0, 2.0], tol=0.1)
         assert not verdict.stabilized

@@ -1,5 +1,7 @@
 """Metric validation, graph metrics, covering numbers, dyadic grids."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from wasserlim import (
     graph_metric,
     validate_metric,
 )
+from wasserlim.spaces import FiniteMetricSpace
 from wasserlim.errors import (
     Asymmetric,
     Disconnected,
@@ -105,6 +108,106 @@ class TestGraphMetric:
     def test_mesh_is_max_edge_weight(self):
         space = graph_metric(3, [(0, 1, 0.25), (1, 2, 0.75)])
         assert space.mesh() == 0.75
+
+
+def reference_dijkstra(n, edges, source):
+    """Heap Dijkstra with the canonical rule: on equal distance, the lowest
+    predecessor index wins, without reopening the vertex."""
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    for lst in adj:
+        lst.sort()
+    dist = np.full(n, np.inf)
+    pred = np.full(n, -1, dtype=np.int64)
+    dist[source] = 0.0
+    done = [False] * n
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+            elif nd == dist[v] and u < pred[v]:
+                pred[v] = u
+    return dist, pred
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_trees_match_reference(space, edges):
+    for s in space.points:
+        dist, pred = space.shortest_path_tree(s)
+        ref_dist, ref_pred = reference_dijkstra(space.n_points, edges, s)
+        assert_same_bits(dist, ref_dist)
+        assert_same_bits(pred, ref_pred)
+
+
+def random_weights(rng, kind, size):
+    if kind == "integer":
+        return rng.integers(1, 5, size=size).astype(float)
+    if kind == "tenths":
+        return rng.integers(1, 30, size=size) * 0.1
+    if kind == "dyadic":
+        return rng.integers(1, 9, size=size) * 0.125
+    return rng.uniform(0.1, 3.0, size=size)
+
+
+class TestShortestPathsAgainstReference:
+    """Distances and predecessors agree bit for bit with a heap Dijkstra."""
+
+    @pytest.mark.parametrize("kind", ["integer", "tenths", "dyadic", "uniform"])
+    def test_random_graphs(self, kind):
+        rng = seeded(5, len(kind))
+        for _ in range(25):
+            n = int(rng.integers(1, 30))
+            extra = int(rng.integers(0, 3 * n + 1))
+            w = random_weights(rng, kind, n - 1 + extra)
+            perm = rng.permutation(n)
+            edges = [(int(perm[j]), int(perm[j + 1]), float(w[j])) for j in range(n - 1)]
+            for e in range(extra):
+                u, v = rng.integers(0, n, size=2)
+                edges.append((int(u), int(v), float(w[n - 1 + e])))
+            edges.append((int(perm[0]), int(perm[0]), 1.0))  # self-loop, dropped
+            space = graph_metric(n, edges)
+            kept = [(u, v, w) for u, v, w in edges if u != v]
+            ref = np.array([reference_dijkstra(n, kept, s)[0] for s in range(n)])
+            assert_same_bits(space.dist, np.minimum(ref, ref.T))
+            assert_trees_match_reference(space, kept)
+
+    def test_parallel_edges_keep_the_lightest(self):
+        edges = [(0, 1, 2.0), (0, 1, 0.5), (1, 2, 1.0), (2, 1, 0.25), (0, 2, 1.0)]
+        space = graph_metric(3, edges)
+        assert space.d(0, 1) == 0.5
+        assert space.d(1, 2) == 0.25
+        assert space.d(0, 2) == 0.75
+        assert_trees_match_reference(space, edges)
+
+    def test_single_vertex(self):
+        space = graph_metric(1, [])
+        assert_trees_match_reference(space, [])
+
+    def test_disconnected_structure_has_no_predecessors_across(self):
+        edges = [(0, 1, 1.0), (2, 3, 2.0)]
+        d = np.array([[0, 1, 5, 7], [1, 0, 5, 7], [5, 5, 0, 2], [7, 7, 2, 0.0]])
+        space = FiniteMetricSpace(d, geodesic_structure=edges)
+        assert_trees_match_reference(space, edges)
+        dist, pred = space.shortest_path_tree(0)
+        assert np.isinf(dist[2:]).all()
+        assert pred.tolist() == [-1, 0, -1, -1]
+        with pytest.raises(ValueError):
+            space.shortest_path(0, 3)
 
 
 class TestDyadicInterval:

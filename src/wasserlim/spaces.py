@@ -35,9 +35,11 @@ Edge = tuple[int, int, float]
 class FiniteMetricSpace:
     """A finite metric space with a distinguished base point.
 
-    Instances are immutable after construction and safe to share across
-    threads. Construction validates the metric axioms at METRIC_TOL, so a
-    held instance is always a valid space.
+    The distances, base point, names and edge list are fixed at
+    construction. The shortest-path trees of a space with an edge list are
+    computed on first use and then cached on the instance. Construction
+    validates the metric axioms at METRIC_TOL, so a held instance is always
+    a valid space.
     """
 
     def __init__(
@@ -179,8 +181,18 @@ def _check_metric(dist: np.ndarray) -> None:
     if np.any(asym > METRIC_TOL):
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         raise Asymmetric(f"d({i},{j}) = {dist[i, j]:g} but d({j},{i}) = {dist[j, i]:g}")
-    # One row broadcast per intermediate point keeps this O(n^3) scan in
-    # numpy; n stays in the hundreds for this library.
+    # O(n^3) scan in numpy, one row broadcast per intermediate point k,
+    # accumulating the shortest two-step distance min_k fl(d[i,k] + d[k,j])
+    # in place. fl(a - b) is monotone in b, so some k breaks the tolerance
+    # exactly when the minimum does; only then is the scan repeated k by k
+    # to name the violation: smallest k, then the largest excess.
+    shortest = dist[:, :1] + dist[:1, :]
+    step = np.empty_like(dist)
+    for k in range(1, n):
+        np.add(dist[:, k : k + 1], dist[k : k + 1, :], out=step)
+        np.minimum(shortest, step, out=shortest)
+    if not np.any(np.subtract(dist, shortest, out=step) > METRIC_TOL):
+        return
     for k in range(n):
         excess = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
         if np.any(excess > METRIC_TOL):

@@ -38,6 +38,10 @@ from .spaces import FiniteMetricSpace, same_space
 #: Cost integerization factor; pivoting is exact on round(d^p * SCALE).
 SCALE = 10**9
 
+#: Dantzig pivots allowed per basis node before pricing falls back to
+#: Bland's rule (first arc with negative reduced cost).
+_DANTZIG_PIVOTS_PER_NODE = 50
+
 #: Cell bound for the enumeration oracle (|supp mu| * |supp nu|).
 BRUTE_FORCE_LIMIT = 12
 
@@ -187,7 +191,7 @@ def alternate_optimal_couplings(coupling: Coupling, limit: int = 8) -> list[Coup
     if not arcs:
         return []
     m, n = st.cost_int.shape
-    parent, order = _build_tree(st.basic, m, n)
+    parent, order, _ = _build_tree(st.basic, m, n)
     depth = _depths(parent, order)
     out: list[Coupling] = []
     for arc in arcs:
@@ -371,6 +375,16 @@ def nearest_atom_projection(
 
 
 # -- network simplex core ---------------------------------------------------
+#
+# Nodes 0..m-1 are the sources (rows), m..m+n-1 the sinks (columns). The
+# basis is a spanning tree of the bipartite support graph, kept as an
+# adjacency list plus parent and depth arrays rooted at source 0, with
+# integer potentials u (rows) and v (columns) that give every basic arc
+# reduced cost zero. A pivot swaps one arc and re-hangs only the subtree
+# that the leaving arc cuts off (Ahuja, Magnanti, Orlin, *Network Flows*,
+# ch. 11). Parent, depth and the potentials rooted at u[0] = 0 are fixed by
+# the tree alone, so updating them in place gives the values a rebuild
+# from scratch would, bit for bit.
 
 def _northwest_basis(a: np.ndarray, b: np.ndarray):
     """Initial basic feasible flow: the north-west corner staircase."""
@@ -396,7 +410,8 @@ def _northwest_basis(a: np.ndarray, b: np.ndarray):
 
 
 def _build_tree(basic, m: int, n: int):
-    """Parent array and preorder for the basis tree, rooted at source 0."""
+    """Parent array, preorder and adjacency of the basis tree, rooted at
+    source 0."""
     size = m + n
     nbr: list[list[int]] = [[] for _ in range(size)]
     for i, j in basic:
@@ -412,7 +427,7 @@ def _build_tree(basic, m: int, n: int):
                 order.append(q)
     if len(order) != size:
         raise SolverFailure("basis lost spanning-tree structure")
-    return parent, order
+    return parent, order, nbr
 
 
 def _depths(parent, order):
@@ -437,11 +452,11 @@ def _potentials(parent, order, cost_int: np.ndarray):
 
 
 def _pivot_cycle(parent, depth, m: int, arc: tuple[int, int]):
-    """Cycle closed by ``arc``, as alternating-sign cells.
+    """Cycle closed by ``arc``, as a list of cells.
 
-    The first cell is the entering arc with sign +1; signs alternate along
-    the traversal, which is exact because every cycle in a bipartite graph
-    alternates sides.
+    The entering arc comes first, then the tree path from its sink back to
+    its source. Every cycle in a bipartite graph alternates sides, so the
+    cells at even positions gain flow and those at odd positions drain.
     """
     x, y = arc[0], m + arc[1]
     px, py = [x], [y]
@@ -461,18 +476,11 @@ def _pivot_cycle(parent, depth, m: int, arc: tuple[int, int]):
         py.append(y)
     seq = py + px[-2::-1]  # entering sink up to the meet, then down to source
     cells = [arc]
-    signs = [1]
     prev = seq[0]
-    sgn = -1
     for node in seq[1:]:
-        if prev < m:
-            cells.append((prev, node - m))
-        else:
-            cells.append((node, prev - m))
-        signs.append(sgn)
-        sgn = -sgn
+        cells.append((prev, node - m) if prev < m else (node, prev - m))
         prev = node
-    return cells, signs
+    return cells
 
 
 def _pivot(parent, depth, m: int, flows: dict, entering: tuple[int, int]):
@@ -483,19 +491,50 @@ def _pivot(parent, depth, m: int, flows: dict, entering: tuple[int, int]):
     updated in place, the leaving arc dropped from it, and
     ``(theta, leaving)`` returned.
     """
-    cells, signs = _pivot_cycle(parent, depth, m, entering)
-    drains = [c for c, s in zip(cells, signs) if s < 0]
+    cells = _pivot_cycle(parent, depth, m, entering)
+    drains = cells[1::2]
     if not drains:
         raise SolverFailure("unbounded pivot on a bounded polytope")
     theta = min(flows[c] for c in drains)
     leaving = min(c for c in drains if flows[c] == theta)
-    for c, s in zip(cells, signs):
-        if s > 0:
-            flows[c] = flows.get(c, 0.0) + theta
-        else:
-            flows[c] = max(flows[c] - theta, 0.0)
+    for c in cells[::2]:
+        flows[c] = flows.get(c, 0.0) + theta
+    for c in drains:
+        flows[c] = max(flows[c] - theta, 0.0)
     flows.pop(leaving)
     return theta, leaving
+
+
+def _rehang(parent, depth, nbr, m: int, leaving, entering):
+    """Swap ``leaving`` for ``entering`` in the basis tree, in place.
+
+    Only the subtree cut off below the leaving arc moves. It holds exactly
+    one entering endpoint, the inner one; the subtree is re-hung from it
+    under the other endpoint, and one traversal resets ``parent`` and
+    ``depth`` there. Returns the inner endpoint and the subtree's nodes.
+    """
+    li, lj = leaving[0], m + leaving[1]
+    x, y = entering[0], m + entering[1]
+    cut = li if parent[li] == lj else lj
+    node = x
+    while depth[node] > depth[cut]:
+        node = parent[node]
+    inner, outer = (x, y) if node == cut else (y, x)
+    nbr[li].remove(lj)
+    nbr[lj].remove(li)
+    nbr[x].append(y)
+    nbr[y].append(x)
+    parent[inner] = outer
+    depth[inner] = depth[outer] + 1
+    subtree = [inner]
+    for node in subtree:
+        up, below = parent[node], depth[node] + 1
+        for q in nbr[node]:
+            if q != up:
+                parent[q] = node
+                depth[q] = below
+                subtree.append(q)
+    return inner, subtree
 
 
 def _network_simplex(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
@@ -504,32 +543,51 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
     Dantzig pricing with lexicographic tie-breaks; falls back to Bland's
     rule after a pivot budget so termination is guaranteed even on
     degenerate instances. All optimality decisions are integer-exact.
+
+    The basis tree, its depths and potentials are built once, for the
+    north-west basis, and then kept across pivots: each pivot re-hangs the
+    subtree below the leaving arc and shifts that subtree's potentials, and
+    the reduced costs of its rows and columns, by the entering arc's
+    reduced cost.
     """
     m, n = cost_int.shape
     flows = _northwest_basis(a, b)
     basic = set(flows.keys())
-    dantzig_budget = 50 * (m + n)
+    parent, order, nbr = _build_tree(basic, m, n)
+    depth = _depths(parent, order)
+    u, v = _potentials(parent, order, cost_int)
+    reduced = cost_int - u[:, None] - v[None, :]
+    dantzig_budget = _DANTZIG_PIVOTS_PER_NODE * (m + n)
     hard_cap = 10000 + 200 * m * n
     pivots = 0
     while True:
-        parent, order = _build_tree(basic, m, n)
-        u, v = _potentials(parent, order, cost_int)
-        reduced = cost_int - u[:, None] - v[None, :]
         if pivots < dantzig_budget:
             k = int(np.argmin(reduced))
-            if reduced.flat[k] >= 0:
-                break
-        else:
-            negative = reduced.ravel() < 0
-            if not negative.any():
-                break
-            k = int(np.argmax(negative))
+        else:  # Bland: the first arc with negative reduced cost
+            k = int(np.argmax(reduced.ravel() < 0))
+        delta = int(reduced.flat[k])
+        if delta >= 0:
+            break
         entering = (k // n, k % n)
-        depth = _depths(parent, order)
         _, leaving = _pivot(parent, depth, m, flows, entering)
         basic.discard(leaving)
         basic.add(entering)
         pivots += 1
         if pivots > hard_cap:
             raise SolverFailure(f"pivot budget exhausted after {pivots} pivots")
+        inner, subtree = _rehang(parent, depth, nbr, m, leaving, entering)
+        sub = np.array(subtree)
+        rows = sub[sub < m]
+        cols = sub[sub >= m] - m
+        # Shift the subtree's potentials by delta, signed so that the
+        # entering arc's reduced cost becomes zero, and the reduced costs
+        # c - u - v of the subtree's rows and columns with them.
+        if inner >= m:
+            delta = -delta
+        u[rows] += delta
+        v[cols] -= delta
+        reduced[rows] -= delta
+        shift = np.zeros(n, dtype=np.int64)
+        shift[cols] = delta
+        reduced += shift
     return flows, basic, u, v

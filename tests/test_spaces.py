@@ -13,7 +13,7 @@ from wasserlim import (
     graph_metric,
     validate_metric,
 )
-from wasserlim.spaces import FiniteMetricSpace
+from wasserlim.spaces import METRIC_TOL, FiniteMetricSpace
 from wasserlim.errors import (
     Asymmetric,
     Disconnected,
@@ -208,6 +208,67 @@ class TestShortestPathsAgainstReference:
         assert pred.tolist() == [-1, 0, -1, -1]
         with pytest.raises(ValueError):
             space.shortest_path(0, 3)
+
+
+def reference_triangle_violation(dist):
+    """The triangle scan k by k, as validate_metric ran it before it took
+    the two-step minimum first: (triple, excess) at the smallest k that
+    breaks METRIC_TOL and its largest excess (first in row-major order), or
+    None."""
+    for k in range(dist.shape[0]):
+        excess = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
+        if np.any(excess > METRIC_TOL):
+            i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
+            return (int(i), int(j), k), float(excess[i, j])
+    return None
+
+
+def reported_triangle_violation(dist):
+    try:
+        validate_metric(dist)
+    except TriangleViolation as exc:
+        return exc.triple, exc.excess
+    return None
+
+
+class TestTriangleScanAgainstReference:
+    """validate_metric reports the triple and excess of the k-by-k scan."""
+
+    @pytest.mark.parametrize("kind", ["integer", "dyadic", "uniform"])
+    def test_planted_violations(self, kind):
+        rng = seeded(6, len(kind))
+        outcomes = set()
+        for trial in range(30):
+            n = int(rng.integers(3, 30))
+            w = random_weights(rng, kind, 2 * n)
+            edges = [(j, j + 1, float(w[j])) for j in range(n - 1)]
+            edges += [(int(a), int(b), float(x))
+                      for a, b, x in zip(rng.integers(0, n, n), rng.integers(0, n, n), w[n:])]
+            dist = np.array(graph_metric(n, edges).dist)
+            # Raise d(i, j) above its shortest two-step detour by a bump just
+            # below, just above or well above the tolerance; trial % 3
+            # plants 0, 1 or 2 of them.
+            for _ in range(trial % 3):
+                i, j = rng.choice(n, size=2, replace=False)
+                detour = min(dist[i, k] + dist[k, j] for k in range(n) if k not in (i, j))
+                bump = float(rng.choice([0.5 * METRIC_TOL, 1.25 * METRIC_TOL, 0.25, 1.0]))
+                dist[i, j] = dist[j, i] = detour + bump
+            expected = reference_triangle_violation(dist)
+            got = reported_triangle_violation(dist)
+            outcomes.add(expected is None)
+            if expected is None:
+                assert got is None
+            else:
+                assert got[0] == expected[0]
+                assert got[1].hex() == expected[1].hex()
+        assert outcomes == {True, False}
+
+    def test_clean_euclidean_matrices(self):
+        rng = seeded(7)
+        for _ in range(10):
+            d = euclidean_space(rng, int(rng.integers(2, 60))).dist
+            assert reference_triangle_violation(d) is None
+            assert reported_triangle_violation(d) is None
 
 
 class TestDyadicInterval:

@@ -1,14 +1,19 @@
 """Solver, assignment route, enumeration oracle, projections."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from wasserlim import (
     DiscreteMeasure,
     assignment_wasserstein,
     brute_force_wasserstein,
+    dyadic_interval_space,
+    estimate_k,
     graph_metric,
     nearest_atom_projection,
     total_variation,
@@ -22,6 +27,7 @@ from wasserlim.errors import (
     SpaceMismatch,
     TooLarge,
 )
+from wasserlim import transport
 from wasserlim.transport import alternate_optimal_couplings, has_alternate_optimum
 from conftest import euclidean_space, random_measure, seeded, uniform_cloud
 
@@ -301,3 +307,262 @@ class TestAlternateOptima:
         _, coupling = wasserstein_p(mu, nu, 2.0)
         assert not has_alternate_optimum(coupling)
         assert alternate_optimal_couplings(coupling) == []
+
+
+# -- the network simplex against a from-scratch reference -------------------
+#
+# reference_simplex is the solver loop as it was before the basis tree was
+# kept across pivots: tree, depths and potentials are rebuilt from scratch
+# on every pivot. The incremental solver must make the same pivots and end
+# in the same state, bit for bit.
+
+def _reference_tree(basic, m, n):
+    size = m + n
+    nbr = [[] for _ in range(size)]
+    for i, j in basic:
+        nbr[i].append(m + j)
+        nbr[m + j].append(i)
+    parent = [-2] * size
+    parent[0] = -1
+    order = [0]
+    for node in order:
+        for q in nbr[node]:
+            if parent[q] == -2:
+                parent[q] = node
+                order.append(q)
+    assert len(order) == size
+    return parent, order
+
+
+def _reference_depths(parent, order):
+    depth = [0] * len(parent)
+    for node in order[1:]:
+        depth[node] = depth[parent[node]] + 1
+    return depth
+
+
+def _reference_potentials(parent, order, cost_int):
+    m, n = cost_int.shape
+    u = np.zeros(m, dtype=np.int64)
+    v = np.zeros(n, dtype=np.int64)
+    for node in order[1:]:
+        par = parent[node]
+        if node >= m:
+            v[node - m] = cost_int[par, node - m] - u[par]
+        else:
+            u[node] = cost_int[node, par - m] - v[par - m]
+    return u, v
+
+
+def _reference_pivot(parent, depth, m, flows, arc):
+    x, y = arc[0], m + arc[1]
+    px, py = [x], [y]
+    dx, dy = depth[x], depth[y]
+    while dx > dy:
+        x = parent[x]
+        px.append(x)
+        dx -= 1
+    while dy > dx:
+        y = parent[y]
+        py.append(y)
+        dy -= 1
+    while x != y:
+        x = parent[x]
+        px.append(x)
+        y = parent[y]
+        py.append(y)
+    seq = py + px[-2::-1]
+    cells, signs = [arc], [1]
+    prev, sgn = seq[0], -1
+    for node in seq[1:]:
+        cells.append((prev, node - m) if prev < m else (node, prev - m))
+        signs.append(sgn)
+        sgn = -sgn
+        prev = node
+    drains = [c for c, s in zip(cells, signs) if s < 0]
+    theta = min(flows[c] for c in drains)
+    leaving = min(c for c in drains if flows[c] == theta)
+    for c, s in zip(cells, signs):
+        if s > 0:
+            flows[c] = flows.get(c, 0.0) + theta
+        else:
+            flows[c] = max(flows[c] - theta, 0.0)
+    flows.pop(leaving)
+    return leaving
+
+
+def reference_simplex(a, b, cost_int):
+    """(flows, basic, u, v, entering arcs), rebuilding the basis tree on
+    every pivot."""
+    m, n = cost_int.shape
+    flows = transport._northwest_basis(a, b)
+    basic = set(flows)
+    budget = transport._DANTZIG_PIVOTS_PER_NODE * (m + n)
+    entered = []
+    while True:
+        parent, order = _reference_tree(basic, m, n)
+        u, v = _reference_potentials(parent, order, cost_int)
+        reduced = cost_int - u[:, None] - v[None, :]
+        if len(entered) < budget:
+            k = int(np.argmin(reduced))
+            if reduced.flat[k] >= 0:
+                break
+        else:
+            negative = reduced.ravel() < 0
+            if not negative.any():
+                break
+            k = int(np.argmax(negative))
+        entering = (k // n, k % n)
+        depth = _reference_depths(parent, order)
+        basic.discard(_reference_pivot(parent, depth, m, flows, entering))
+        basic.add(entering)
+        entered.append(entering)
+    return flows, basic, u, v, entered
+
+
+def cycle_space(rng, n):
+    """Cycle graph with integer edge weights: many equal-cost paths."""
+    w = rng.integers(1, 4, size=n)
+    return graph_metric(n, [(i, (i + 1) % n, float(w[i])) for i in range(n)])
+
+
+def uniform_measure(rng, space):
+    """Equal weights on a random subset of points: ties, degenerate pivots."""
+    w = np.zeros(space.n_points)
+    k = int(rng.integers(1, space.n_points + 1))
+    w[rng.choice(space.n_points, size=k, replace=False)] = 1.0
+    return DiscreteMeasure(space, w)
+
+
+def simplex_corpus():
+    """Seeded (mu, nu, p) cases, each pair in both argument orders.
+
+    Random Euclidean spaces and integer-weight cycles up to n = 40, with
+    random or uniform weights on partial supports, so m != n, ties and
+    degenerate (theta = 0) pivots all occur.
+    """
+    rng = seeded(30)
+    cases = []
+    for trial in range(48):
+        n = int(rng.integers(3, 41))
+        space = euclidean_space(rng, n) if trial % 2 == 0 else cycle_space(rng, n)
+        draw = uniform_measure if trial % 3 == 0 else random_measure
+        mu, nu = draw(rng, space), draw(rng, space)
+        p = 1.0 if trial % 4 < 2 else 2.0
+        cases += [(mu, nu, p), (nu, mu, p)]
+    return cases
+
+
+def simplex_inputs(mu, nu, p):
+    """The integer problem wasserstein_p hands the simplex, unflipped."""
+    rows, cols = mu.support, nu.support
+    cost = mu.space.dist[np.ix_(rows, cols)] ** p
+    return (mu.weights[rows], nu.weights[cols],
+            np.rint(cost * transport.SCALE).astype(np.int64))
+
+
+def assert_simplex_matches_reference(a, b, cost_int):
+    """Same pivots and end state as the reference; returns the pivot count."""
+    entered = []
+    real_pivot = transport._pivot
+
+    def recording_pivot(*args):
+        entered.append(args[-1])
+        return real_pivot(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_pivot", recording_pivot)
+        flows, basic, u, v = transport._network_simplex(a, b, cost_int)
+    ref_flows, ref_basic, ref_u, ref_v, ref_entered = reference_simplex(a, b, cost_int)
+    assert entered == ref_entered
+    assert [(c, f.hex()) for c, f in sorted(flows.items())] == [
+        (c, f.hex()) for c, f in sorted(ref_flows.items())
+    ]
+    assert set(basic) == ref_basic
+    assert u.dtype == v.dtype == np.int64
+    assert u.tobytes() == ref_u.tobytes()
+    assert v.tobytes() == ref_v.tobytes()
+    return len(entered)
+
+
+def corpus_digest() -> str:
+    """sha256 over every solve, alternate and K-estimate of the corpus.
+
+    Covers the coupling matrix bytes, the value, the integer potentials and
+    the sorted basis of each ``wasserstein_p`` solve, its alternate optima
+    (limit 64), and ``estimate_k`` values and worst midpoints on
+    ``dyadic_interval_space(6)``. Equal digests on two versions of the
+    solver mean they return the same couplings.
+    """
+    h = hashlib.sha256()
+    for mu, nu, p in simplex_corpus():
+        value, coupling = wasserstein_p(mu, nu, p)
+        st = coupling._state
+        h.update(coupling.matrix.tobytes())
+        h.update(value.hex().encode())
+        h.update(st.u.tobytes() + st.v.tobytes())
+        h.update(repr(sorted(st.basic)).encode())
+        for other in alternate_optimal_couplings(coupling, limit=64):
+            h.update(other.matrix.tobytes())
+            h.update(other.cost_p.hex().encode())
+    lam = DiscreteMeasure.uniform(dyadic_interval_space(6))
+    for seed in range(6):
+        report = estimate_k(lam, 2, seed)
+        h.update(repr([x.hex() for x in report.values]).encode())
+        h.update(report.worst_pair[2].weights.tobytes())
+    return h.hexdigest()
+
+
+class TestSimplexAgainstReference:
+    def test_seeded_corpus(self):
+        pivots = [assert_simplex_matches_reference(*simplex_inputs(mu, nu, p))
+                  for mu, nu, p in simplex_corpus()]
+        assert sum(pivots) > 0
+        assert 0 in pivots
+
+    def test_bland_fallback(self, monkeypatch):
+        # A zero Dantzig budget prices every pivot by Bland's rule.
+        monkeypatch.setattr(transport, "_DANTZIG_PIVOTS_PER_NODE", 0)
+        rng = seeded(31)
+        pivots = 0
+        for trial in range(24):
+            mu, nu = small_pair(rng)
+            p = (1.0, 2.0)[trial % 2]
+            pivots += assert_simplex_matches_reference(*simplex_inputs(mu, nu, p))
+            assert wasserstein_p(mu, nu, p)[0] == pytest.approx(
+                brute_force_wasserstein(mu, nu, p), abs=1e-7
+            )
+        for mu, nu, p in simplex_corpus()[:16]:
+            pivots += assert_simplex_matches_reference(*simplex_inputs(mu, nu, p))
+        assert pivots > 0
+
+
+def highs_cost(mu, nu, p):
+    """Optimal sum(gamma * d^p) over couplings of mu and nu, by HiGHS."""
+    a, b = mu.weights[mu.support], nu.weights[nu.support]
+    cost = mu.space.dist[np.ix_(mu.support, nu.support)] ** p
+    m, n = cost.shape
+    rows = sparse.kron(sparse.eye(m), np.ones((1, n)))
+    cols = sparse.kron(np.ones((1, m)), sparse.eye(n))
+    res = linprog(cost.ravel(), A_eq=sparse.vstack([rows, cols]).tocsr(),
+                  b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+class TestAgainstHighs:
+    def test_well_scaled_instances(self):
+        # Distances O(1) only: HiGHS works to absolute tolerances, so it is
+        # no oracle on spaces scaled far below 1.
+        rng = seeded(32)
+        for trial in range(20):
+            space = euclidean_space(rng, int(rng.integers(2, 49)))
+            mu, nu = random_measure(rng, space), random_measure(rng, space)
+            p = (1.0, 2.0)[trial % 2]
+            assert wasserstein_p(mu, nu, p)[0] ** p == pytest.approx(
+                highs_cost(mu, nu, p), rel=1e-9
+            )
+
+
+if __name__ == "__main__":
+    print(corpus_digest())

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import dijkstra, floyd_warshall
 
 from .errors import (
     Asymmetric,
@@ -36,8 +36,10 @@ class FiniteMetricSpace:
     """A finite metric space with a distinguished base point.
 
     The distances, base point, names and edge list are fixed at
-    construction. The shortest-path trees of a space with an edge list are
-    computed on first use and then cached on the instance. Construction
+    construction. A space with an edge list keeps one all-pairs
+    predecessor matrix of that graph, computed on first use (or by
+    ``graph_metric``) and cached on the instance; geodesic interpolation
+    walks every coupled pair through it at once. Construction
     validates the metric axioms at METRIC_TOL, so a held instance is always
     a valid space.
     """
@@ -65,9 +67,8 @@ class FiniteMetricSpace:
             if geodesic_structure is not None
             else None
         )
-        # One (distances, predecessors) row pair per source, views into the
-        # all-pairs arrays; a list lookup keeps shortest_path cheap.
-        self._paths: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
+        # The all-pairs (distances, predecessors) matrices of the edge graph.
+        self._paths: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def n_points(self) -> int:
@@ -112,15 +113,20 @@ class FiniteMetricSpace:
 
         Predecessor ties at equal distance resolve to the lowest vertex
         index, so reconstructed paths are the lexicographically smallest
-        shortest paths and identical across runs. All sources are solved
-        in one pass, the first time any tree of the space is asked for;
-        the rows returned are read-only.
+        shortest paths and identical across runs. The rows returned are
+        read-only views of the space's predecessor matrix.
         """
+        dist, pred = self._path_matrices()
+        return dist[source], pred[source]
+
+    def _path_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """All-pairs (distances, predecessors) of the edge graph, solved in
+        one pass the first time any path of the space is asked for."""
         if self._edges is None:
             raise ValueError("space has no geodesic structure")
         if self._paths is None:
-            self._paths = list(zip(*_shortest_paths(self.n_points, self._edges)))
-        return self._paths[source]
+            self._paths = _shortest_paths(self.n_points, self._edges)
+        return self._paths
 
     def shortest_path(self, x: int, y: int) -> list[int]:
         """Vertex sequence of the canonical shortest x-y path."""
@@ -181,17 +187,19 @@ def _check_metric(dist: np.ndarray) -> None:
     if np.any(asym > METRIC_TOL):
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         raise Asymmetric(f"d({i},{j}) = {dist[i, j]:g} but d({j},{i}) = {dist[j, i]:g}")
-    # O(n^3) scan in numpy, one row broadcast per intermediate point k,
-    # accumulating the shortest two-step distance min_k fl(d[i,k] + d[k,j])
-    # in place. fl(a - b) is monotone in b, so some k breaks the tolerance
-    # exactly when the minimum does; only then is the scan repeated k by k
-    # to name the violation: smallest k, then the largest excess.
-    shortest = dist[:, :1] + dist[:1, :]
-    step = np.empty_like(dist)
-    for k in range(1, n):
-        np.add(dist[:, k : k + 1], dist[k : k + 1, :], out=step)
-        np.minimum(shortest, step, out=shortest)
-    if not np.any(np.subtract(dist, shortest, out=step) > METRIC_TOL):
+    # Floyd-Warshall certificate: its entries only decrease and fl(a + b)
+    # is monotone, so shortest[i, j] <= fl(d[i,k] + d[k,j]) for every k, and
+    # with fl(a - b) monotone in b no triple breaks the tolerance unless
+    # dist - shortest does. Only then is the scan repeated k by k to name
+    # the violation (smallest k, then the largest excess); a chain of
+    # sub-tolerance slacks can trip the certificate with no triple at
+    # fault, and then the scan finds nothing. Every entry is an edge of the
+    # sparse input, zero distances too, which a dense input would drop.
+    cols = np.tile(np.arange(n, dtype=np.int32), n)
+    indptr = np.arange(0, n * n + 1, n, dtype=np.int32)
+    graph = csr_matrix((dist.ravel(), cols, indptr), shape=(n, n))
+    shortest = floyd_warshall(graph, directed=True)
+    if not np.any(np.subtract(dist, shortest, out=shortest) > METRIC_TOL):
         return
     for k in range(n):
         excess = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
@@ -298,7 +306,7 @@ def graph_metric(
     # orders; the exactness claim is about the shortest-path values.
     space = FiniteMetricSpace(np.minimum(dist, dist.T), base_point=base_point,
                               names=names, geodesic_structure=edges)
-    space._paths = list(zip(dist, pred))
+    space._paths = (dist, pred)
     return space
 
 

@@ -21,6 +21,7 @@ from wasserlim import (
 )
 from wasserlim import curvature
 from wasserlim.curvature import random_density_pair
+from wasserlim.spaces import FiniteMetricSpace
 from wasserlim.errors import (
     AbsoluteContinuityFailure,
     InfiniteEntropy,
@@ -251,6 +252,88 @@ class TestDescendingSlope:
     def test_wrong_shape(self, path3):
         with pytest.raises(ValueError):
             descending_slope([1.0, 2.0], path3, 0)
+
+    @pytest.mark.parametrize("x", [-1, 3])
+    def test_point_out_of_range(self, path3, x):
+        # Not 0.0, which the edge scan used to answer on graph metrics.
+        with pytest.raises(ValueError, match="out of range"):
+            descending_slope([0.0, 1.0, 2.0], path3, x)
+
+
+def reference_descending_slope(f, space, x):
+    """descending_slope as it was: one scan of the edge list per point."""
+    if space.geodesic_structure is not None:
+        others = sorted(
+            {v for u, v, _ in space.geodesic_structure if u == x}
+            | {u for u, v, _ in space.geodesic_structure if v == x}
+        )
+    else:
+        others = [y for y in range(space.n_points) if y != x]
+    slope = 0.0
+    for y in others:
+        d = space.dist[x, y]
+        if d > 0:
+            slope = max(slope, max(f[x] - f[y], 0.0) / d)
+    return slope
+
+
+def reference_fisher_rhs(nu, lam, k):
+    f = np.zeros(nu.space.n_points)
+    sup = lam.support
+    f[sup] = nu.weights[sup] / lam.weights[sup]
+    fisher = 0.0
+    for j in sup:
+        if f[j] > 0:
+            fisher += lam.weights[j] * reference_descending_slope(f, lam.space, int(j)) ** 2 / f[j]
+    return float(fisher / (2.0 * k))
+
+
+def slope_spaces():
+    """Graph metrics, a direct edge list with self-loops and parallel
+    edges, and bare metric matrices."""
+    rng = seeded(48)
+    out = [dyadic_interval_space(3)]
+    for _ in range(6):
+        n = int(rng.integers(2, 12))
+        edges = [(j, j + 1, float(rng.integers(1, 4))) for j in range(n - 1)]
+        edges += [(int(a), int(b), float(rng.integers(1, 4)))
+                  for a, b in rng.integers(0, n, size=(n, 2))]
+        out.append(graph_metric(n, edges))
+        direct = out[-1].geodesic_structure + tuple(
+            (int(a), int(a), 1.0) for a in rng.integers(0, n, 2)) + tuple(edges[:2])
+        out.append(FiniteMetricSpace(out[-1].dist, geodesic_structure=direct))
+        out.append(euclidean_space(rng, n))
+    return out, rng
+
+
+class TestSlopesAgainstReference:
+    def test_every_point(self):
+        spaces, rng = slope_spaces()
+        for space in spaces:
+            for trial in range(6):
+                # Generic values, ties and zero drops, then NaN and -0.0
+                # entries, which the old max() chain passed over.
+                f = (rng.integers(0, 3, space.n_points).astype(float) if trial % 2
+                     else rng.uniform(0.0, 2.0, space.n_points))
+                if trial >= 4:
+                    f[rng.random(space.n_points) < 0.3] = -0.0
+                    f[rng.integers(space.n_points)] = np.nan
+                slopes = curvature._descending_slopes(f, space)
+                for x in space.points:
+                    expected = float(reference_descending_slope(f, space, x)).hex()
+                    assert float(slopes[x]).hex() == expected
+                    assert descending_slope(f, space, x).hex() == expected
+
+    def test_log_sobolev_rhs(self):
+        spaces, rng = slope_spaces()
+        for space in spaces:
+            lam = random_measure(rng, space)
+            for _ in range(3):
+                nu = random_measure(rng, space)
+                nu = DiscreteMeasure(space, np.where(lam.weights > 0, nu.weights, 0.0)
+                                     + lam.weights)
+                check = log_sobolev_check(nu, lam, 0.7)
+                assert check.rhs.hex() == reference_fisher_rhs(nu, lam, 0.7).hex()
 
 
 class TestLogSobolev:

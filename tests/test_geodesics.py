@@ -1,5 +1,8 @@
 """Displacement interpolation: vertex rounding, midpoints, full paths."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,14 @@ from wasserlim import (
     displacement_path,
     dyadic_interval_space,
     graph_metric,
+    interpolate_coupling,
     point_interpolate,
     w2_midpoint,
     wasserstein_p,
 )
 from wasserlim.errors import NoGeodesicStructure
+from wasserlim.spaces import FiniteMetricSpace
+from wasserlim.transport import alternate_optimal_couplings
 from conftest import euclidean_space, random_measure, seeded
 
 
@@ -170,6 +176,13 @@ class TestDisplacementPath:
         with pytest.raises(ValueError):
             displacement_path(mu, mu, grid=(0.0, 0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.25, math.inf])
+    def test_grid_times_outside_unit_interval(self, path3, bad):
+        # NaN sorts anywhere, so it must be refused before the endpoint test.
+        mu = DiscreteMeasure.uniform(path3)
+        with pytest.raises(ValueError, match=r"grid times must lie in \[0, 1\]"):
+            displacement_path(mu, mu, grid=(0.0, bad, 0.5, 1.0))
+
     def test_constant_speed_on_fine_dyadic(self):
         rng = seeded(34)
         space = dyadic_interval_space(4)
@@ -194,3 +207,169 @@ class TestDisplacementPath:
         mu1 = DiscreteMeasure(path5, np.array([0.0, 0.0, 0.2, 0.0, 0.8]))
         path = displacement_path(mu0, mu1)
         assert path.endpoints_cost == wasserstein_p(mu0, mu1, 2)[0]
+
+
+def reference_point_interpolate(space, x, y, t):
+    """point_interpolate as it was before the one-pass kernel: one Python
+    walk of the canonical path per pair, first minimum toward x."""
+    if space.geodesic_structure is None:
+        raise NoGeodesicStructure("bare metric")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"interpolation parameter {t} outside [0, 1]")
+    if x == y:
+        return x, 0.0
+    path = space.shortest_path(x, y)
+    cum = space.dist[x, path]
+    target = t * space.dist[x, y]
+    k = int(np.argmin(np.abs(cum - target)))
+    return int(path[k]), float(abs(cum[k] - target))
+
+
+def reference_interpolate_coupling(coupling, t):
+    """interpolate_coupling as it was: the per-cell loop in row-major order."""
+    space = coupling.row_space
+    weights = np.zeros(space.n_points)
+    worst = 0.0
+    rows, cols = np.nonzero(coupling.matrix > 0)
+    for i, j in zip(rows, cols):
+        z, defect = reference_point_interpolate(space, int(i), int(j), t)
+        weights[z] += coupling.matrix[i, j]
+        worst = max(worst, defect)
+    return DiscreteMeasure(space, weights), worst
+
+
+TIMES = (0.0, 0.25, 1 / 3, 0.5, 0.75, 1.0, math.nan, 1.5)
+
+
+def outcome(fn, *args):
+    """What an interpolate_coupling call returned, bit for bit, or the
+    error it raised."""
+    try:
+        measure, defect = fn(*args)
+    except Exception as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return ("returned", measure.weights.tobytes(), float(defect).hex())
+
+
+def point_outcome(fn, space, x, y, t):
+    """The same for a point_interpolate call."""
+    try:
+        z, defect = fn(space, x, y, t)
+    except Exception as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return ("returned", int(z), float(defect).hex())
+
+
+def cycle_space(n, weights):
+    return graph_metric(n, [(j, (j + 1) % n, float(weights[j])) for j in range(n)])
+
+
+def multigraph_space(rng, n):
+    """A random path plus chords, some of them parallel to earlier edges."""
+    order = rng.permutation(n)
+    edges = [(int(order[j]), int(order[j + 1]), float(rng.integers(1, 5)))
+             for j in range(n - 1)]
+    for _ in range(n):
+        u, v, _ = edges[int(rng.integers(len(edges)))]
+        edges.append((u, v, float(rng.integers(1, 5))))
+        a, b = rng.integers(0, n, size=2)
+        edges.append((int(a), int(b), float(rng.uniform(0.5, 3.0))))
+    return graph_metric(n, edges)
+
+
+def split_space():
+    """A line metric whose direct edge list has two components (and a
+    self-loop), so cross-component cells have no path."""
+    n = 7
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0), (4, 4, 1.0)]
+    return FiniteMetricSpace(dist, geodesic_structure=edges)
+
+
+def interpolation_spaces():
+    rng = seeded(36)
+    out = [(dyadic_interval_space(level), 3 if level == 8 else 5) for level in range(4, 9)]
+    # Integer weights; equal ones give two equal-length routes between
+    # antipodes.
+    for n in rng.integers(3, 13, size=12):
+        out.append((cycle_space(n, rng.integers(1, 4, size=n)), 3))
+    out += [(cycle_space(n, np.ones(n)), 3) for n in (4, 6, 8, 10)]
+    out += [(multigraph_space(rng, int(rng.integers(2, 13))), 3) for _ in range(12)]
+    out.append((split_space(), 6))
+    return out
+
+
+def corpus_pair(rng, space):
+    """Random measures, or, one time in two on an even cycle of equal
+    edges, equal masses on the even and on the odd vertices: each even
+    vertex then has two nearest odd ones, so the optimum is not unique."""
+    edges = space.geodesic_structure
+    if (space.n_points % 2 == 0 and len({w for _, _, w in edges}) == 1
+            and len(edges) == space.n_points and rng.random() < 0.5):
+        even = (np.arange(space.n_points) % 2 == 0).astype(float)
+        return DiscreteMeasure(space, even), DiscreteMeasure(space, 1.0 - even)
+    return random_measure(rng, space), random_measure(rng, space)
+
+
+def interpolation_corpus():
+    """(coupling, t) pairs: optimal couplings of seeded measure pairs and
+    their alternate optima, at every time in TIMES."""
+    rng = seeded(37)
+    for space, pairs in interpolation_spaces():
+        for _ in range(pairs):
+            mu, nu = corpus_pair(rng, space)
+            _, coupling = wasserstein_p(mu, nu, 2)
+            for c in [coupling] + alternate_optimal_couplings(coupling, limit=4):
+                for t in TIMES:
+                    yield c, t
+
+
+def interpolation_digest() -> str:
+    """sha256 over interpolate_coupling on the corpus and point_interpolate
+    on every pair of the spaces below 16 points: weights bytes and defect
+    bits, or the error type and message. Equal digests on two versions of
+    the package mean they interpolate alike."""
+    h = hashlib.sha256()
+    for coupling, t in interpolation_corpus():
+        h.update(repr(outcome(interpolate_coupling, coupling, t)).encode())
+    for space, _ in interpolation_spaces():
+        if space.n_points < 16:
+            for x in space.points:
+                for y in space.points:
+                    for t in TIMES:
+                        h.update(repr(point_outcome(point_interpolate, space, x, y, t)).encode())
+    return h.hexdigest()
+
+
+class TestInterpolationAgainstReference:
+    """The one-pass kernel places every pair as the per-pair walk did."""
+
+    def test_couplings(self):
+        kinds = set()
+        for coupling, t in interpolation_corpus():
+            expected = outcome(reference_interpolate_coupling, coupling, t)
+            assert outcome(interpolate_coupling, coupling, t) == expected
+            kinds.add(expected[2].split()[0] if expected[0] == "raised" else expected[0])
+        assert kinds == {"returned", "interpolation", "no"}
+
+    def test_points(self):
+        for space, _ in interpolation_spaces():
+            if space.n_points < 16:
+                for x in space.points:
+                    for y in space.points:
+                        for t in TIMES:
+                            assert (point_outcome(point_interpolate, space, x, y, t)
+                                    == point_outcome(reference_point_interpolate, space, x, y, t))
+
+    def test_first_unreachable_cell_is_named(self):
+        space = split_space()
+        mu = DiscreteMeasure(space, np.array([0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0]))
+        nu = DiscreteMeasure(space, np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.0]))
+        _, coupling = wasserstein_p(mu, nu, 2)
+        assert coupling.matrix[1, 4] > 0 and coupling.matrix[2, 5] > 0
+        with pytest.raises(ValueError, match="^no path from 1 to 4$"):
+            interpolate_coupling(coupling, 0.5)
+
+
+if __name__ == "__main__":
+    print(interpolation_digest())

@@ -5,6 +5,7 @@ import heapq
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
 from wasserlim import (
     covering_number,
@@ -269,6 +270,26 @@ class TestTriangleScanAgainstReference:
             d = euclidean_space(rng, int(rng.integers(2, 60))).dist
             assert reference_triangle_violation(d) is None
             assert reported_triangle_violation(d) is None
+
+    def test_violation_through_zero_distance(self):
+        # A dense Floyd-Warshall input would read d(0, 1) = 0 as no edge
+        # and miss the detour 0-1-2.
+        dist = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+        expected = reference_triangle_violation(dist)
+        assert expected == ((0, 2, 1), 4.0)
+        assert reported_triangle_violation(dist) == expected
+
+    def test_chain_of_small_slacks_validates(self):
+        # Every triple on this line is slack by 0.6 * METRIC_TOL, so none
+        # breaks the tolerance, but the slacks add up along the chain and
+        # the shortest-path certificate alone would refuse the matrix.
+        n = 8
+        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+        dist = np.where(gap > 0, gap + 0.6 * METRIC_TOL * (gap - 1), 0.0)
+        shortest = floyd_warshall(csgraph_from_dense(dist, null_value=np.inf))
+        assert (dist - shortest).max() > METRIC_TOL
+        assert reference_triangle_violation(dist) is None
+        assert reported_triangle_violation(dist) is None
 
 
 class TestDyadicInterval:

@@ -25,8 +25,9 @@ from .errors import (
     TriangleViolation,
 )
 
-#: Absolute tolerance for metric axioms. Distances are assumed to live on an
-#: O(1)-O(1e3) scale; rescale before constructing a space if yours do not.
+#: Relative tolerance for the metric axioms: each must hold up to
+#: METRIC_TOL times the matrix's diameter (its largest entry), so whether a
+#: matrix validates does not depend on the unit its distances are in.
 METRIC_TOL = 1e-9
 
 Edge = tuple[int, int, float]
@@ -40,8 +41,8 @@ class FiniteMetricSpace:
     predecessor matrix of that graph, computed on first use (or by
     ``graph_metric``) and cached on the instance; geodesic interpolation
     walks every coupled pair through it at once. Construction
-    validates the metric axioms at METRIC_TOL, so a held instance is always
-    a valid space.
+    validates the metric axioms at METRIC_TOL times the diameter, so a
+    held instance is always a valid space.
     """
 
     def __init__(
@@ -179,12 +180,13 @@ def _check_metric(dist: np.ndarray) -> None:
     if np.any(dist < 0):
         i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
         raise NegativeDistance(f"d({i},{j}) = {dist[i, j]:g} < 0")
+    tol = METRIC_TOL * float(dist.max(initial=0.0))
     diag = np.abs(np.diagonal(dist))
-    if np.any(diag > METRIC_TOL):
+    if np.any(diag > tol):
         i = int(np.argmax(diag))
         raise NegativeDistance(f"d({i},{i}) = {dist[i, i]:g} != 0")
     asym = np.abs(dist - dist.T)
-    if np.any(asym > METRIC_TOL):
+    if np.any(asym > tol):
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         raise Asymmetric(f"d({i},{j}) = {dist[i, j]:g} but d({j},{i}) = {dist[j, i]:g}")
     # Floyd-Warshall certificate: its entries only decrease and fl(a + b)
@@ -199,11 +201,11 @@ def _check_metric(dist: np.ndarray) -> None:
     indptr = np.arange(0, n * n + 1, n, dtype=np.int32)
     graph = csr_matrix((dist.ravel(), cols, indptr), shape=(n, n))
     shortest = floyd_warshall(graph, directed=True)
-    if not np.any(np.subtract(dist, shortest, out=shortest) > METRIC_TOL):
+    if not np.any(np.subtract(dist, shortest, out=shortest) > tol):
         return
     for k in range(n):
         excess = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
-        if np.any(excess > METRIC_TOL):
+        if np.any(excess > tol):
             i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
             raise TriangleViolation(i, j, k, float(excess[i, j]))
 

@@ -52,16 +52,18 @@ ASSIGNMENT_CAP = 2048
 
 @dataclass(frozen=True)
 class _SolverState:
-    """Internal simplex terminal state, kept for optimum diagnostics."""
+    """Internal simplex terminal state, kept for optimum diagnostics: the
+    solved supports, the basis tree by node (see the network simplex
+    core), and the integer duals and reduced costs."""
 
     rows: np.ndarray
     cols: np.ndarray
-    cost_float: np.ndarray
-    cost_int: np.ndarray
-    flows: dict
-    basic: frozenset
+    parent: np.ndarray
+    depth: np.ndarray
+    flow: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    reduced: np.ndarray
     #: True when the presented coupling is the transpose of the solved one.
     flipped: bool
 
@@ -123,18 +125,22 @@ def wasserstein_p(
     src, dst = (nu, mu) if flipped else (mu, nu)
     rows = src.support
     cols = dst.support
-    cost_float = space.dist[np.ix_(rows, cols)] ** p
+    # take() returns a C-ordered matrix ([:, cols] would not), which keeps
+    # argmin and the row updates of the pivot loop fast.
+    cost = space.dist[rows].take(cols, axis=1)
+    cost **= p
     # Guard on the float side: the int64 cast itself wraps on overflow.
-    biggest = float(np.abs(cost_float).max(initial=0.0)) * SCALE
+    biggest = float(cost.max(initial=0.0)) * SCALE
     if not np.isfinite(biggest) or biggest * (len(rows) + len(cols) + 2) >= 2.0**60:
         raise SolverFailure(
             "scaled costs too large for exact pivoting; rescale distances "
             "toward the documented O(1)-O(1e3) range"
         )
-    cost_int = np.rint(cost_float * SCALE).astype(np.int64)
-    flows, basic, u, v = _network_simplex(src.weights[rows], dst.weights[cols], cost_int)
-    state = _SolverState(rows, cols, cost_float, cost_int, flows,
-                         frozenset(basic), u, v, flipped)
+    cost *= SCALE
+    cost_int = np.rint(cost, out=cost).astype(np.int64)
+    state = _SolverState(rows, cols,
+                         *_network_simplex(src.weights[rows], dst.weights[cols], cost_int),
+                         flipped)
     return _coupling_from_state(state, mu.space, nu.space, p)
 
 
@@ -146,33 +152,43 @@ def _coupling_from_state(
 ) -> tuple[float, Coupling]:
     """The presented coupling of a solver state, and its W_p value.
 
-    Flows are summed in arc order, so a plan and its transpose share every
-    rounding.
+    Flows are summed sequentially in arc order (``cumsum``, not the
+    pairwise ``sum``), so a plan and its transpose share every rounding.
+    The sum starts from 0.0, which turns an all -0.0 sum into 0.0. Cell
+    (i, j) costs ``row_space.dist[rows[i], cols[j]] ** p`` in either
+    orientation, as both spaces hold the same distances.
     """
-    cost_pow = 0.0
+    i, j = _basic_cells(state.parent, len(state.rows))
+    order = np.argsort(i * len(state.cols) + j)
+    x, y, f = state.rows[i[order]], state.cols[j[order]], state.flow[1:][order]
+    cost_pow = 0.0 + np.cumsum(f * row_space.dist[x, y] ** p)[-1]
     gamma = np.zeros((row_space.n_points, col_space.n_points))
-    for (i, j), f in sorted(state.flows.items()):
-        cost_pow += f * state.cost_float[i, j]
-        gamma[state.rows[i], state.cols[j]] = f
-    if state.flipped:
-        gamma = gamma.T.copy()
+    gamma[(y, x) if state.flipped else (x, y)] = f
     value = cost_pow ** (1.0 / p)
     return value, Coupling(row_space, col_space, gamma, value, p, state)
 
 
+def _basic_cells(parent: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each non-root node's arc to its parent; rows are
+    numbered below columns, so the row is the lower node."""
+    nodes = np.arange(1, len(parent))
+    up = parent[1:]
+    return np.minimum(nodes, up), np.maximum(nodes, up) - m
+
+
 def _zero_cost_nonbasic(state: _SolverState) -> list[tuple[int, int]]:
     """Nonbasic arcs with reduced cost exactly zero, in arc-index order."""
-    red = state.cost_int - state.u[:, None] - state.v[None, :]
-    mask = red == 0
-    for i, j in state.basic:
-        mask[i, j] = False
+    mask = state.reduced == 0
+    mask[_basic_cells(state.parent, len(state.rows))] = False
     return [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
 
 
 def has_alternate_optimum(coupling: Coupling) -> bool:
     """Whether a second optimal basis exists (zero reduced cost check)."""
     st = coupling._state
-    return st is not None and bool(_zero_cost_nonbasic(st))
+    # Each of the m + n - 1 basic arcs has reduced cost zero; any further
+    # zero is a nonbasic one.
+    return st is not None and int(np.count_nonzero(st.reduced == 0)) >= len(st.parent)
 
 
 def alternate_optimal_couplings(coupling: Coupling, limit: int = 8) -> list[Coupling]:
@@ -190,19 +206,20 @@ def alternate_optimal_couplings(coupling: Coupling, limit: int = 8) -> list[Coup
     arcs = _zero_cost_nonbasic(st)
     if not arcs:
         return []
-    m, n = st.cost_int.shape
-    parent, order, _ = _build_tree(st.basic, m, n)
-    depth = _depths(parent, order)
+    tree = st.parent.tolist(), st.depth.tolist(), st.flow.tolist()
+    nbr = _adjacency(tree[0])
     out: list[Coupling] = []
     for arc in arcs:
-        flows = dict(st.flows)
-        theta, leaving = _pivot(parent, depth, m, flows, arc)
+        parent, depth, flow = (list(x) for x in tree)
+        theta, _, _ = _pivot(parent, depth, flow, [list(x) for x in nbr],
+                             len(st.rows), arc)
         if theta <= 0.0:
             continue
-        # The entering arc has zero reduced cost, so u and v stay valid
-        # optimal potentials for the new basis.
-        state = _SolverState(st.rows, st.cols, st.cost_float, st.cost_int, flows,
-                             st.basic - {leaving} | {arc}, st.u, st.v, st.flipped)
+        # The entering arc has zero reduced cost, so u, v and the reduced
+        # costs stay those of the new basis.
+        state = _SolverState(st.rows, st.cols, np.array(parent),
+                             np.array(depth), np.array(flow), st.u, st.v,
+                             st.reduced, st.flipped)
         out.append(_coupling_from_state(state, coupling.row_space,
                                         coupling.col_space, coupling.p)[1])
         if len(out) >= limit:
@@ -377,153 +394,133 @@ def nearest_atom_projection(
 # -- network simplex core ---------------------------------------------------
 #
 # Nodes 0..m-1 are the sources (rows), m..m+n-1 the sinks (columns). The
-# basis is a spanning tree of the bipartite support graph, kept as an
-# adjacency list plus parent and depth arrays rooted at source 0, with
+# basis is a spanning tree of the bipartite support graph rooted at source
+# 0, held in arrays indexed by node: parent, depth, and the flow on each
+# non-root node's arc to its parent (as in LEMON's NetworkSimplex), with
 # integer potentials u (rows) and v (columns) that give every basic arc
-# reduced cost zero. A pivot swaps one arc and re-hangs only the subtree
-# that the leaving arc cuts off (Ahuja, Magnanti, Orlin, *Network Flows*,
-# ch. 11). Parent, depth and the potentials rooted at u[0] = 0 are fixed by
-# the tree alone, so updating them in place gives the values a rebuild
-# from scratch would, bit for bit.
+# reduced cost zero. The north-west staircase is already such a tree, so
+# the start needs no search; the adjacency lists that a pivot's re-hang
+# walks are built only when a pivot happens. A pivot swaps one arc and
+# re-hangs only the subtree that the leaving arc cuts off (Ahuja,
+# Magnanti, Orlin, *Network Flows*, ch. 11). Parent, depth and the
+# potentials rooted at u[0] = 0 are fixed by the tree alone, so updating
+# them in place gives the values a rebuild from scratch would, bit for bit.
 
 def _northwest_basis(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible flow: the north-west corner staircase."""
+    """Initial basic feasible flow: the north-west corner staircase.
+
+    Returns, for each of its m + n - 1 cells in order, whether the step
+    into the next cell goes down a row (else right a column), and the
+    cell's flow. The remainders are Python floats, which round as numpy's
+    float64 does.
+    """
     m, n = len(a), len(b)
-    rem_a = a.astype(np.float64).copy()
-    rem_b = b.astype(np.float64).copy()
-    flows: dict[tuple[int, int], float] = {}
+    rem_a, rem_b = a.tolist(), b.tolist()
+    down = [False] * (m + n - 2)
+    flow = [0.0] * (m + n - 1)
     i = j = 0
-    while True:
-        take = min(rem_a[i], rem_b[j])
-        flows[(i, j)] = float(take)
-        rem_a[i] -= take
-        rem_b[j] -= take
-        if i == m - 1 and j == n - 1:
-            break
-        if rem_a[i] == 0.0 and i < m - 1:
+    ra, rb = rem_a[0], rem_b[0]
+    for k in range(m + n - 2):
+        take = rb if rb < ra else ra
+        flow[k] = take
+        ra -= take
+        rb -= take
+        if (ra == 0.0 and i < m - 1) or j == n - 1:
             i += 1
-        elif j < n - 1:
+            ra = rem_a[i]
+            down[k] = True
+        else:
             j += 1
-        else:
-            i += 1
-    return flows
+            rb = rem_b[j]
+    flow[-1] = rb if rb < ra else ra
+    return np.array(down, dtype=bool), np.array(flow)
 
 
-def _build_tree(basic, m: int, n: int):
-    """Parent array, preorder and adjacency of the basis tree, rooted at
-    source 0."""
-    size = m + n
-    nbr: list[list[int]] = [[] for _ in range(size)]
-    for i, j in basic:
-        nbr[i].append(m + j)
-        nbr[m + j].append(i)
-    parent = [-2] * size
-    parent[0] = -1
-    order = [0]
-    for node in order:
-        for q in nbr[node]:
-            if parent[q] == -2:
-                parent[q] = node
-                order.append(q)
-    if len(order) != size:
-        raise SolverFailure("basis lost spanning-tree structure")
-    return parent, order, nbr
+def _staircase_tree(down: np.ndarray, flow: np.ndarray, cost_int: np.ndarray):
+    """Parent, depth, node flows and potentials of the staircase basis.
 
-
-def _depths(parent, order):
-    depth = [0] * len(parent)
-    for node in order[1:]:
-        depth[node] = depth[parent[node]] + 1
-    return depth
-
-
-def _potentials(parent, order, cost_int: np.ndarray):
-    """Dual values making every basic arc's reduced cost zero."""
+    Cell k of the staircase is (i, k - i). Each cell after the first adds
+    one node, the next row (a step down) or the next column (a step
+    right), whose parent is the cell's other endpoint; the first cell
+    hangs column 0 under source 0. A node is one level deeper than the
+    last node added on the other side, so depth counts the turns of the
+    staircase. Consecutive cells share a node, so the potential of the
+    node a step adds moves by the cost difference of the two cells.
+    """
     m, n = cost_int.shape
+    ii = np.concatenate(([0], np.cumsum(down)))
+    jj = np.arange(m + n - 1) - ii
+    child = np.where(down, ii[1:], m + jj[1:])
+    parent = np.full(m + n, -1)
+    parent[m] = 0
+    parent[child] = np.where(down, m + jj[1:], ii[1:])
+    depth = np.zeros(m + n, dtype=np.int64)
+    depth[m] = 1
+    depth[child] = 1 + np.cumsum(np.diff(down, prepend=False))
+    node_flow = np.zeros(m + n)
+    node_flow[m] = flow[0]
+    node_flow[child] = flow[1:]
+    step = np.diff(cost_int[ii, jj])
     u = np.zeros(m, dtype=np.int64)
-    v = np.zeros(n, dtype=np.int64)
-    for node in order[1:]:
-        par = parent[node]
-        if node >= m:
-            v[node - m] = cost_int[par, node - m] - u[par]
-        else:
-            u[node] = cost_int[node, par - m] - v[par - m]
-    return u, v
+    v = np.full(n, cost_int[0, 0])
+    u[1:] = np.cumsum(step[down])
+    v[1:] += np.cumsum(step[~down])
+    return parent, depth, node_flow, u, v
 
 
-def _pivot_cycle(parent, depth, m: int, arc: tuple[int, int]):
-    """Cycle closed by ``arc``, as a list of cells.
+def _adjacency(parent: list) -> list[list[int]]:
+    """Neighbour lists of the tree given by ``parent`` (root at node 0)."""
+    nbr: list[list[int]] = [[] for _ in parent]
+    for x in range(1, len(parent)):
+        nbr[x].append(parent[x])
+        nbr[parent[x]].append(x)
+    return nbr
 
-    The entering arc comes first, then the tree path from its sink back to
-    its source. Every cycle in a bipartite graph alternates sides, so the
-    cells at even positions gain flow and those at odd positions drain.
+
+def _pivot(parent: list, depth: list, flow: list, nbr: list, m: int,
+           entering: tuple[int, int]):
+    """Swap ``entering`` into the basis tree, pushing flow around its cycle.
+
+    The cycle is the entering arc plus the tree paths from its endpoints
+    up to where they meet. It alternates sides, so the tree arcs at even
+    distance from either endpoint drain and the others gain. Theta is the
+    least flow on the draining arcs; the lowest-index drained cell that
+    carried exactly theta leaves. The subtree it cuts off holds exactly one
+    entering endpoint, the inner one, and is re-hung from it under the
+    other: the arcs on the stem from the inner endpoint up to the cut turn
+    over, so each stem arc's flow moves to the node that is now its child,
+    and one traversal resets ``parent`` and ``depth`` below the inner
+    endpoint. All lists are updated in place. Returns theta, the inner
+    endpoint and the subtree's nodes.
     """
-    x, y = arc[0], m + arc[1]
-    px, py = [x], [y]
-    dx, dy = depth[x], depth[y]
-    while dx > dy:
-        x = parent[x]
-        px.append(x)
-        dx -= 1
-    while dy > dx:
-        y = parent[y]
-        py.append(y)
-        dy -= 1
+    x = source = entering[0]
+    y = sink = m + entering[1]
+    px, py = [], []  # child nodes of the tree arcs on each side
     while x != y:
-        x = parent[x]
-        px.append(x)
-        y = parent[y]
-        py.append(y)
-    seq = py + px[-2::-1]  # entering sink up to the meet, then down to source
-    cells = [arc]
-    prev = seq[0]
-    for node in seq[1:]:
-        cells.append((prev, node - m) if prev < m else (node, prev - m))
-        prev = node
-    return cells
-
-
-def _pivot(parent, depth, m: int, flows: dict, entering: tuple[int, int]):
-    """Push flow around the cycle that ``entering`` closes.
-
-    Theta is the least flow on the draining cells; the leaving arc is the
-    lowest-index drained cell that carried exactly theta. ``flows`` is
-    updated in place, the leaving arc dropped from it, and
-    ``(theta, leaving)`` returned.
-    """
-    cells = _pivot_cycle(parent, depth, m, entering)
-    drains = cells[1::2]
-    if not drains:
-        raise SolverFailure("unbounded pivot on a bounded polytope")
-    theta = min(flows[c] for c in drains)
-    leaving = min(c for c in drains if flows[c] == theta)
-    for c in cells[::2]:
-        flows[c] = flows.get(c, 0.0) + theta
+        if depth[x] > depth[y]:
+            px.append(x)
+            x = parent[x]
+        else:
+            py.append(y)
+            y = parent[y]
+    drains = px[::2] + py[::2]
+    theta = min(flow[c] for c in drains)
+    cut = min((c for c in drains if flow[c] == theta),
+              key=lambda c: (c, parent[c]) if c < m else (parent[c], c))
+    for c in px[1::2] + py[1::2]:
+        flow[c] += theta
     for c in drains:
-        flows[c] = max(flows[c] - theta, 0.0)
-    flows.pop(leaving)
-    return theta, leaving
-
-
-def _rehang(parent, depth, nbr, m: int, leaving, entering):
-    """Swap ``leaving`` for ``entering`` in the basis tree, in place.
-
-    Only the subtree cut off below the leaving arc moves. It holds exactly
-    one entering endpoint, the inner one; the subtree is re-hung from it
-    under the other endpoint, and one traversal resets ``parent`` and
-    ``depth`` there. Returns the inner endpoint and the subtree's nodes.
-    """
-    li, lj = leaving[0], m + leaving[1]
-    x, y = entering[0], m + entering[1]
-    cut = li if parent[li] == lj else lj
-    node = x
-    while depth[node] > depth[cut]:
-        node = parent[node]
-    inner, outer = (x, y) if node == cut else (y, x)
-    nbr[li].remove(lj)
-    nbr[lj].remove(li)
-    nbr[x].append(y)
-    nbr[y].append(x)
+        flow[c] -= theta  # theta is their least flow, so none goes negative
+    side, inner, outer = (px, source, sink) if cut in px else (py, sink, source)
+    stem = side[:side.index(cut) + 1]
+    for lower, upper in zip(stem[-2::-1], stem[:0:-1]):
+        flow[upper] = flow[lower]
+    flow[inner] = theta
+    up = parent[cut]
+    nbr[cut].remove(up)
+    nbr[up].remove(cut)
+    nbr[inner].append(outer)
+    nbr[outer].append(inner)
     parent[inner] = outer
     depth[inner] = depth[outer] + 1
     subtree = [inner]
@@ -534,7 +531,7 @@ def _rehang(parent, depth, nbr, m: int, leaving, entering):
                 parent[q] = node
                 depth[q] = below
                 subtree.append(q)
-    return inner, subtree
+    return theta, inner, subtree
 
 
 def _network_simplex(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
@@ -544,19 +541,19 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
     rule after a pivot budget so termination is guaranteed even on
     degenerate instances. All optimality decisions are integer-exact.
 
-    The basis tree, its depths and potentials are built once, for the
-    north-west basis, and then kept across pivots: each pivot re-hangs the
-    subtree below the leaving arc and shifts that subtree's potentials, and
-    the reduced costs of its rows and columns, by the entering arc's
-    reduced cost.
+    The start is the north-west staircase, whose tree, depths, flows and
+    potentials come from a few array passes over its cells. They are kept
+    across pivots, as lists while pivoting: each pivot re-hangs the
+    subtree below the leaving arc and shifts that subtree's potentials,
+    and the reduced costs of its rows and columns, by the entering arc's
+    reduced cost. ``cost_int`` is overwritten by the reduced costs.
+    Returns parent, depth, flow (by node), u, v and the reduced costs.
     """
     m, n = cost_int.shape
-    flows = _northwest_basis(a, b)
-    basic = set(flows.keys())
-    parent, order, nbr = _build_tree(basic, m, n)
-    depth = _depths(parent, order)
-    u, v = _potentials(parent, order, cost_int)
-    reduced = cost_int - u[:, None] - v[None, :]
+    parent, depth, flow, u, v = _staircase_tree(*_northwest_basis(a, b), cost_int)
+    reduced = cost_int
+    reduced -= u[:, None]
+    reduced -= v
     dantzig_budget = _DANTZIG_PIVOTS_PER_NODE * (m + n)
     hard_cap = 10000 + 200 * m * n
     pivots = 0
@@ -568,14 +565,13 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
         delta = int(reduced.flat[k])
         if delta >= 0:
             break
-        entering = (k // n, k % n)
-        _, leaving = _pivot(parent, depth, m, flows, entering)
-        basic.discard(leaving)
-        basic.add(entering)
+        if not pivots:
+            parent, depth, flow = parent.tolist(), depth.tolist(), flow.tolist()
+            nbr = _adjacency(parent)
+        _, inner, subtree = _pivot(parent, depth, flow, nbr, m, (k // n, k % n))
         pivots += 1
         if pivots > hard_cap:
             raise SolverFailure(f"pivot budget exhausted after {pivots} pivots")
-        inner, subtree = _rehang(parent, depth, nbr, m, leaving, entering)
         sub = np.array(subtree)
         rows = sub[sub < m]
         cols = sub[sub >= m] - m
@@ -590,4 +586,6 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
         shift = np.zeros(n, dtype=np.int64)
         shift[cols] = delta
         reduced += shift
-    return flows, basic, u, v
+    if pivots:
+        parent, depth, flow = np.array(parent), np.array(depth), np.array(flow)
+    return parent, depth, flow, u, v, reduced

@@ -45,6 +45,28 @@ class TestValidateMetric:
             validate_metric(np.array([[0.0, 1, 3], [1, 0, 1], [3, 1, 0]]))
         assert exc.value.triple == (0, 2, 1)
 
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+    def test_tolerance_follows_the_unit(self, scale):
+        # The same triangle violation (3x) and the same valid line at every
+        # scale: an absolute 1e-9 accepted the violation at 1e-10.
+        with pytest.raises(TriangleViolation) as exc:
+            validate_metric(np.array([[0.0, 1, 3], [1, 0, 1], [3, 1, 0]]) * scale)
+        assert exc.value.triple == (0, 2, 1)
+        line = validate_metric(np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]]) * scale)
+        assert diameter(line) == 2 * scale
+
+    def test_heavy_graph_metrics_validate(self):
+        # Shortest-path sums of weights near 1e9 round by ~1e-7, which an
+        # absolute 1e-9 refused as triangle violations on every case.
+        for seed in range(30):
+            rng = seeded(8, seed)
+            n = 60
+            w = rng.uniform(0.5e9, 1.5e9, size=3 * n)
+            edges = [(j, j + 1, float(w[j])) for j in range(n - 1)]
+            edges += [(int(a), int(b), float(x)) for a, b, x in
+                      zip(rng.integers(0, n, 2 * n), rng.integers(0, n, 2 * n), w[n:])]
+            assert graph_metric(n, edges).n_points == n
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             validate_metric(np.zeros((2, 3)))
@@ -211,14 +233,21 @@ class TestShortestPathsAgainstReference:
             space.shortest_path(0, 3)
 
 
+def scaled_tolerance(dist):
+    """The absolute slack validate_metric allows: METRIC_TOL times the
+    largest distance."""
+    return METRIC_TOL * float(np.max(dist))
+
+
 def reference_triangle_violation(dist):
     """The triangle scan k by k, as validate_metric ran it before it took
     the two-step minimum first: (triple, excess) at the smallest k that
-    breaks METRIC_TOL and its largest excess (first in row-major order), or
-    None."""
+    breaks the scaled tolerance and its largest excess (first in row-major
+    order), or None."""
+    tol = scaled_tolerance(dist)
     for k in range(dist.shape[0]):
         excess = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
-        if np.any(excess > METRIC_TOL):
+        if np.any(excess > tol):
             i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
             return (int(i), int(j), k), float(excess[i, j])
     return None
@@ -246,13 +275,14 @@ class TestTriangleScanAgainstReference:
             edges += [(int(a), int(b), float(x))
                       for a, b, x in zip(rng.integers(0, n, n), rng.integers(0, n, n), w[n:])]
             dist = np.array(graph_metric(n, edges).dist)
+            tol = scaled_tolerance(dist)
             # Raise d(i, j) above its shortest two-step detour by a bump just
             # below, just above or well above the tolerance; trial % 3
             # plants 0, 1 or 2 of them.
             for _ in range(trial % 3):
                 i, j = rng.choice(n, size=2, replace=False)
                 detour = min(dist[i, k] + dist[k, j] for k in range(n) if k not in (i, j))
-                bump = float(rng.choice([0.5 * METRIC_TOL, 1.25 * METRIC_TOL, 0.25, 1.0]))
+                bump = float(rng.choice([0.5 * tol, 1.25 * tol, 0.25, 1.0]))
                 dist[i, j] = dist[j, i] = detour + bump
             expected = reference_triangle_violation(dist)
             got = reported_triangle_violation(dist)
@@ -280,14 +310,15 @@ class TestTriangleScanAgainstReference:
         assert reported_triangle_violation(dist) == expected
 
     def test_chain_of_small_slacks_validates(self):
-        # Every triple on this line is slack by 0.6 * METRIC_TOL, so none
-        # breaks the tolerance, but the slacks add up along the chain and
-        # the shortest-path certificate alone would refuse the matrix.
+        # Every triple on this line is slack by 0.6 times the tolerance, so
+        # none breaks it, but the slacks add up along the chain and the
+        # shortest-path certificate alone would refuse the matrix.
         n = 8
         gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
-        dist = np.where(gap > 0, gap + 0.6 * METRIC_TOL * (gap - 1), 0.0)
+        tol = METRIC_TOL * (n - 1)  # the diameter is n - 1 and a little more
+        dist = np.where(gap > 0, gap + 0.6 * tol * (gap - 1), 0.0)
         shortest = floyd_warshall(csgraph_from_dense(dist, null_value=np.inf))
-        assert (dist - shortest).max() > METRIC_TOL
+        assert (dist - shortest).max() > scaled_tolerance(dist)
         assert reference_triangle_violation(dist) is None
         assert reported_triangle_violation(dist) is None
 

@@ -27,7 +27,7 @@ from wasserlim.errors import (
     SpaceMismatch,
     TooLarge,
 )
-from wasserlim import transport
+from wasserlim import curvature, transport
 from wasserlim.transport import alternate_optimal_couplings, has_alternate_optimum
 from conftest import euclidean_space, random_measure, seeded, uniform_cloud
 
@@ -312,9 +312,43 @@ class TestAlternateOptima:
 # -- the network simplex against a from-scratch reference -------------------
 #
 # reference_simplex is the solver loop as it was before the basis tree was
-# kept across pivots: tree, depths and potentials are rebuilt from scratch
-# on every pivot. The incremental solver must make the same pivots and end
-# in the same state, bit for bit.
+# kept across pivots and held in arrays: flows live in a dict keyed by
+# cell, the basis in a set, and tree, depths and potentials are rebuilt
+# from scratch on every pivot. The solver must make the same pivots and
+# end in the same state, bit for bit; dict_state converts its array state
+# to the reference's form.
+
+def _reference_northwest(a, b):
+    m, n = len(a), len(b)
+    rem_a = a.astype(np.float64).copy()
+    rem_b = b.astype(np.float64).copy()
+    flows = {}
+    i = j = 0
+    while True:
+        take = min(rem_a[i], rem_b[j])
+        flows[(i, j)] = float(take)
+        rem_a[i] -= take
+        rem_b[j] -= take
+        if i == m - 1 and j == n - 1:
+            break
+        if rem_a[i] == 0.0 and i < m - 1:
+            i += 1
+        elif j < n - 1:
+            j += 1
+        else:
+            i += 1
+    return flows
+
+
+def dict_state(parent, flow, m):
+    """(flows by cell, basic cells) of an array state, in Python numbers."""
+    parent, flow = parent.tolist(), flow.tolist()
+    flows = {}
+    for x in range(1, len(parent)):
+        cell = (x, parent[x] - m) if x < m else (parent[x], x - m)
+        flows[cell] = flow[x]
+    return flows, set(flows)
+
 
 def _reference_tree(basic, m, n):
     size = m + n
@@ -388,14 +422,14 @@ def _reference_pivot(parent, depth, m, flows, arc):
         else:
             flows[c] = max(flows[c] - theta, 0.0)
     flows.pop(leaving)
-    return leaving
+    return theta, leaving
 
 
 def reference_simplex(a, b, cost_int):
     """(flows, basic, u, v, entering arcs), rebuilding the basis tree on
     every pivot."""
     m, n = cost_int.shape
-    flows = transport._northwest_basis(a, b)
+    flows = _reference_northwest(a, b)
     basic = set(flows)
     budget = transport._DANTZIG_PIVOTS_PER_NODE * (m + n)
     entered = []
@@ -414,7 +448,7 @@ def reference_simplex(a, b, cost_int):
             k = int(np.argmax(negative))
         entering = (k // n, k % n)
         depth = _reference_depths(parent, order)
-        basic.discard(_reference_pivot(parent, depth, m, flows, entering))
+        basic.discard(_reference_pivot(parent, depth, m, flows, entering)[1])
         basic.add(entering)
         entered.append(entering)
     return flows, basic, u, v, entered
@@ -461,6 +495,13 @@ def simplex_inputs(mu, nu, p):
             np.rint(cost * transport.SCALE).astype(np.int64))
 
 
+def assert_tree_matches_rebuild(parent, depth, basic, m, n):
+    """The kept basis tree is the one a breadth-first rebuild gives."""
+    ref_parent, order = _reference_tree(basic, m, n)
+    assert parent.tolist() == ref_parent
+    assert depth.tolist() == _reference_depths(ref_parent, order)
+
+
 def assert_simplex_matches_reference(a, b, cost_int):
     """Same pivots and end state as the reference; returns the pivot count."""
     entered = []
@@ -472,17 +513,75 @@ def assert_simplex_matches_reference(a, b, cost_int):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "_pivot", recording_pivot)
-        flows, basic, u, v = transport._network_simplex(a, b, cost_int)
+        parent, depth, flow, u, v, reduced = transport._network_simplex(
+            a, b, cost_int.copy())
+    m, n = cost_int.shape
+    flows, basic = dict_state(parent, flow, m)
     ref_flows, ref_basic, ref_u, ref_v, ref_entered = reference_simplex(a, b, cost_int)
     assert entered == ref_entered
     assert [(c, f.hex()) for c, f in sorted(flows.items())] == [
         (c, f.hex()) for c, f in sorted(ref_flows.items())
     ]
-    assert set(basic) == ref_basic
+    assert basic == ref_basic
     assert u.dtype == v.dtype == np.int64
     assert u.tobytes() == ref_u.tobytes()
     assert v.tobytes() == ref_v.tobytes()
+    assert reduced.tobytes() == (cost_int - ref_u[:, None] - ref_v[None, :]).tobytes()
+    assert_tree_matches_rebuild(parent, depth, basic, m, n)
     return len(entered)
+
+
+def reference_plan(coupling, flows):
+    """W_p value and presented matrix of ``flows`` (a dict by solved cell)
+    on the solved cells of ``coupling``: the sorted dict walk the solver
+    used before its state became arrays."""
+    st = coupling._state
+    cost_float = coupling.row_space.dist[np.ix_(st.rows, st.cols)] ** coupling.p
+    cost_pow = 0.0
+    gamma = np.zeros((coupling.row_space.n_points, coupling.col_space.n_points))
+    for (i, j), f in sorted(flows.items()):
+        cost_pow += f * cost_float[i, j]
+        gamma[st.rows[i], st.cols[j]] = f
+    if st.flipped:
+        gamma = gamma.T.copy()
+    return cost_pow ** (1.0 / coupling.p), gamma
+
+
+def assert_coupling_matches_reference(value, coupling):
+    st = coupling._state
+    flows = dict_state(st.parent, st.flow, len(st.rows))[0]
+    ref_value, ref_matrix = reference_plan(coupling, flows)
+    assert type(value) is type(ref_value)
+    assert value.hex() == ref_value.hex() == coupling.cost_p.hex()
+    # Row-major, like the matrices the reference built; the reduced costs
+    # too, or argmin and the pivot's row updates slow down tenfold.
+    assert coupling.matrix.flags.c_contiguous and st.reduced.flags.c_contiguous
+    assert coupling.matrix.tobytes() == ref_matrix.tobytes()
+
+
+def reference_alternates(coupling, limit):
+    """(zero-cost nonbasic arcs, alternate (value, matrix) pairs, reduced
+    costs), from a breadth-first rebuild of the basis tree and reduced
+    costs recomputed from the integer costs."""
+    st = coupling._state
+    m, n = len(st.rows), len(st.cols)
+    flows, basic = dict_state(st.parent, st.flow, m)
+    parent, order = _reference_tree(basic, m, n)
+    depth = _reference_depths(parent, order)
+    cost = coupling.row_space.dist[np.ix_(st.rows, st.cols)] ** coupling.p
+    cost_int = np.rint(cost * transport.SCALE).astype(np.int64)
+    u, v = _reference_potentials(parent, order, cost_int)
+    reduced = cost_int - u[:, None] - v[None, :]
+    arcs = [(int(i), int(j)) for i, j in zip(*np.nonzero(reduced == 0)) if (i, j) not in basic]
+    plans = []
+    for arc in arcs:
+        moved = dict(flows)
+        theta, _ = _reference_pivot(parent, depth, m, moved, arc)
+        if theta > 0.0:
+            plans.append(reference_plan(coupling, moved))
+        if len(plans) >= limit:
+            break
+    return arcs, plans, reduced
 
 
 def corpus_digest() -> str:
@@ -501,7 +600,7 @@ def corpus_digest() -> str:
         h.update(coupling.matrix.tobytes())
         h.update(value.hex().encode())
         h.update(st.u.tobytes() + st.v.tobytes())
-        h.update(repr(sorted(st.basic)).encode())
+        h.update(repr(sorted(dict_state(st.parent, st.flow, len(st.rows))[1])).encode())
         for other in alternate_optimal_couplings(coupling, limit=64):
             h.update(other.matrix.tobytes())
             h.update(other.cost_p.hex().encode())
@@ -535,6 +634,65 @@ class TestSimplexAgainstReference:
         for mu, nu, p in simplex_corpus()[:16]:
             pivots += assert_simplex_matches_reference(*simplex_inputs(mu, nu, p))
         assert pivots > 0
+
+
+class TestCouplingAgainstReference:
+    """Values and matrices are those of the sorted dict walk, bit for bit."""
+
+    def test_seeded_corpus(self):
+        for mu, nu, p in simplex_corpus():
+            assert_coupling_matches_reference(*wasserstein_p(mu, nu, p))
+
+    def test_other_powers(self):
+        for mu, nu, _ in simplex_corpus()[:24]:
+            for p in (1.5, 3):
+                assert_coupling_matches_reference(*wasserstein_p(mu, nu, p))
+
+    def test_full_support_pairs_need_no_pivot(self, monkeypatch):
+        # Densities on a line: the north-west start is optimal, so the
+        # whole coupling comes from the staircase arrays.
+        def no_pivot(*args):
+            raise AssertionError("unexpected pivot")
+
+        monkeypatch.setattr(transport, "_pivot", no_pivot)
+        lam = DiscreteMeasure.uniform(dyadic_interval_space(8))
+        rng = seeded(33)
+        for _ in range(4):
+            mu, nu = curvature.random_density_pair(lam, rng)
+            assert_coupling_matches_reference(*wasserstein_p(mu, nu, 2))
+            assert_coupling_matches_reference(*wasserstein_p(nu, mu, 2))
+
+    def test_signed_zero_distance(self):
+        # -0.0 is a valid distance; the sequential sum from 0.0 gives W = 0.0.
+        space = validate_metric(np.array([[-0.0, 1.0], [1.0, -0.0]]))
+        mu = DiscreteMeasure.dirac(space, 0)
+        value, coupling = wasserstein_p(mu, mu, 1.0)
+        assert value.hex() == "0x0.0p+0"
+        assert_coupling_matches_reference(value, coupling)
+
+
+class TestAlternatesAgainstReference:
+    """The tree and reduced costs kept in the state are those a rebuild
+    gives, and the alternates pivot from them as the dict reference does."""
+
+    def test_seeded_corpus(self):
+        square = TestAlternateOptima()._square_measures()
+        alternates = 0
+        for mu, nu, p in simplex_corpus() + [(*square, 2.0), (*square[::-1], 2.0)]:
+            _, coupling = wasserstein_p(mu, nu, p)
+            arcs, plans, reduced = reference_alternates(coupling, 64)
+            assert coupling._state.reduced.tobytes() == reduced.tobytes()
+            assert has_alternate_optimum(coupling) == bool(arcs)
+            others = alternate_optimal_couplings(coupling, limit=64)
+            assert [(o.cost_p.hex(), o.matrix.tobytes()) for o in others] == [
+                (value.hex(), matrix.tobytes()) for value, matrix in plans
+            ]
+            for st in [coupling._state] + [o._state for o in others]:
+                basic = dict_state(st.parent, st.flow, len(st.rows))[1]
+                assert_tree_matches_rebuild(st.parent, st.depth, basic,
+                                            len(st.rows), len(st.cols))
+            alternates += len(others)
+        assert alternates > 0
 
 
 def highs_cost(mu, nu, p):

@@ -129,8 +129,9 @@ def transport(ctx, mu_path, nu_path, p, coupling_path):
     coupling_path = _pick(ctx, "coupling_path", "coupling", coupling_path)
 
     def go():
-        mu = load_measure(mu_path)
-        nu = load_measure(nu_path)
+        space_files: dict = {}
+        mu = load_measure(mu_path, space_files)
+        nu = load_measure(nu_path, space_files)
         value, coupling = wasserstein_p(mu, nu, p)
         if coupling_path:
             write_json(coupling_path, coupling_to_dict(coupling))
@@ -160,8 +161,9 @@ def geodesic(ctx, mu0_path, mu1_path, grid, out_path):
         raise click.UsageError("--grid must name at least 0 and 1")
 
     def go():
-        mu0 = load_measure(mu0_path)
-        mu1 = load_measure(mu1_path)
+        space_files: dict = {}
+        mu0 = load_measure(mu0_path, space_files)
+        mu1 = load_measure(mu1_path, space_files)
         path = displacement_path(mu0, mu1, times)
         if out_path:
             write_json(out_path, {

@@ -200,7 +200,8 @@ def displacement_path(
     Grid times must lie in [0, 1], which refuses NaN, and the grid must
     contain 0 and 1; endpoints are returned as-is rather than
     reconstructed. Constant-speed defects are measured for every pair of
-    grid times with fresh solver calls.
+    grid times with fresh solver calls, except the (0, 1) pair, whose
+    solve is the deterministic endpoint solve that gave ``cost``.
     """
     _shared_geodesic_space(mu0, mu1)
     times = {float(g) for g in grid}
@@ -220,9 +221,13 @@ def displacement_path(
         else:
             measures.append(interpolate_coupling(coupling, t)[0])
     defects = []
+    last = len(times) - 1
     for a in range(len(times)):
         for b in range(a + 1, len(times)):
-            w_ab, _ = wasserstein_p(measures[a], measures[b], 2)
+            if (a, b) == (0, last):
+                w_ab = cost
+            else:
+                w_ab, _ = wasserstein_p(measures[a], measures[b], 2)
             gap = abs(w_ab - (times[b] - times[a]) * cost)
             defects.append((times[a], times[b], gap))
     return WassersteinPath(times, tuple(measures), cost, coupling,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -93,8 +94,7 @@ def space_from_dict(data: dict) -> FiniteMetricSpace:
         edges = [(int(u), int(v), float(w)) for u, v, w in data["edges"]]
         return graph_metric(names, edges, base_point=base)
     if "metric" in data:
-        matrix = np.asarray(data["metric"], dtype=float)
-        return validate_metric(matrix, base_point=base, names=names)
+        return validate_metric(data["metric"], base_point=base, names=names)
     raise ValueError("space document needs either 'metric' or 'edges'")
 
 
@@ -103,23 +103,37 @@ def measure_to_dict(mu: DiscreteMeasure, space_ref: str | None = None) -> dict:
     return {"space": space, "weights": [float(w) for w in mu.weights]}
 
 
-def _resolve_space(ref: Any, relative_to: Path | None) -> FiniteMetricSpace:
+def _resolve_space(
+    ref: Any, relative_to: Path | None, space_files: dict | None
+) -> FiniteMetricSpace:
     if isinstance(ref, dict):
         return space_from_dict(ref)
     if isinstance(ref, str):
         path = Path(ref)
         if not path.is_absolute() and relative_to is not None:
             path = relative_to / path
-        return load_space(path)
+        if space_files is None:
+            return load_space(path)
+        key = os.path.realpath(path)
+        if key not in space_files:
+            space_files[key] = load_space(path)
+        return space_files[key]
     raise ValueError("'space' must be an inline object or a file path")
 
 
 def measure_from_dict(
-    data: dict, relative_to: Path | None = None
+    data: dict, relative_to: Path | None = None, space_files: dict | None = None
 ) -> DiscreteMeasure:
+    """Measure from its document; a string 'space' is a file path, read
+    relative to ``relative_to``.
+
+    ``space_files``, when given, maps each space file already loaded (by
+    real path) to its space and gains any file loaded here, so
+    measures loaded with one dict share one space object per file.
+    """
     if not isinstance(data, dict) or "weights" not in data or "space" not in data:
         raise ValueError("measure document needs 'space' and 'weights'")
-    space = _resolve_space(data["space"], relative_to)
+    space = _resolve_space(data["space"], relative_to, space_files)
     weights = np.asarray(data["weights"], dtype=float)
     return DiscreteMeasure(space, weights)
 
@@ -163,8 +177,9 @@ def load_space(path) -> FiniteMetricSpace:
     return space_from_dict(_load_document(path))
 
 
-def load_measure(path) -> DiscreteMeasure:
-    return measure_from_dict(_load_document(path), Path(path).parent)
+def load_measure(path, space_files: dict | None = None) -> DiscreteMeasure:
+    """Measure file; ``space_files`` as in ``measure_from_dict``."""
+    return measure_from_dict(_load_document(path), Path(path).parent, space_files)
 
 
 def load_density(path) -> Density:

@@ -201,11 +201,11 @@ def alternate_optimal_couplings(coupling: Coupling, limit: int = 8) -> list[Coup
     optimal face.
     """
     st = coupling._state
-    if st is None or limit <= 0:
+    # One count of the zeros rules out most couplings before the full
+    # mask of zero-cost arcs is built.
+    if limit <= 0 or not has_alternate_optimum(coupling):
         return []
     arcs = _zero_cost_nonbasic(st)
-    if not arcs:
-        return []
     tree = st.parent.tolist(), st.depth.tolist(), st.flow.tolist()
     nbr = _adjacency(tree[0])
     out: list[Coupling] = []

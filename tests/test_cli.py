@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from wasserlim import serialization
 from wasserlim.cli import main
 from wasserlim.serialization import space_to_dict
 from wasserlim.spaces import dyadic_interval_space
@@ -148,6 +149,63 @@ class TestTransport:
         )
         assert result.exit_code == 2
         assert "--p" in result.stderr
+
+
+class TestSharedSpaceFile:
+    """One transport or geodesic call parses a space file that both
+    measures name once, and gives both measures that one space."""
+
+    @pytest.fixture
+    def shared_files(self, tmp_path):
+        write_doc(tmp_path / "s.json", PATH3)
+        (tmp_path / "sub").mkdir()
+        mu = write_doc(tmp_path / "mu.json", {"space": "s.json", "weights": [1, 0, 0]})
+        # The same file by another spelling of its path.
+        nu = write_doc(tmp_path / "sub" / "nu.json",
+                       {"space": "../s.json", "weights": [0, 0, 1]})
+        return mu, nu
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        paths = []
+        original = serialization.load_space
+
+        def counting(path):
+            paths.append(Path(path).name)
+            return original(path)
+
+        monkeypatch.setattr(serialization, "load_space", counting)
+        return paths
+
+    @pytest.mark.parametrize("command, flags, expected", [
+        ("transport", ("--mu", "--nu"), "w2 = 2\n"),
+        ("geodesic", ("--mu0", "--mu1"), "w2 = 2, constant-speed defect = 0\n"),
+    ])
+    def test_space_file_loaded_once(self, runner, shared_files, loads,
+                                    command, flags, expected):
+        mu, nu = shared_files
+        result = runner.invoke(main, [command, flags[0], str(mu), flags[1], str(nu)])
+        assert result.exit_code == 0, result.output
+        assert result.output == expected
+        assert loads == ["s.json"]
+
+    def test_each_call_reads_the_file_afresh(self, runner, shared_files, loads, tmp_path):
+        mu, nu = shared_files
+        args = ["transport", "--mu", str(mu), "--nu", str(nu)]
+        assert runner.invoke(main, args).output == "w2 = 2\n"
+        doubled = dict(PATH3, edges=[[0, 1, 2.0], [1, 2, 2.0]])
+        write_doc(tmp_path / "s.json", doubled)
+        assert runner.invoke(main, args).output == "w2 = 4\n"
+        assert loads == ["s.json", "s.json"]
+
+    def test_different_space_files_load_separately(self, runner, tmp_path, loads):
+        write_doc(tmp_path / "a.json", PATH3)
+        write_doc(tmp_path / "b.json", PATH3)
+        mu = write_doc(tmp_path / "mu.json", {"space": "a.json", "weights": [1, 0, 0]})
+        nu = write_doc(tmp_path / "nu.json", {"space": "b.json", "weights": [0, 0, 1]})
+        result = runner.invoke(main, ["transport", "--mu", str(mu), "--nu", str(nu)])
+        assert result.output == "w2 = 2\n"
+        assert loads == ["a.json", "b.json"]
 
 
 class TestGeodesic:

@@ -16,6 +16,7 @@ from wasserlim import (
     w2_midpoint,
     wasserstein_p,
 )
+from wasserlim import geodesics
 from wasserlim.errors import NoGeodesicStructure
 from wasserlim.spaces import FiniteMetricSpace
 from wasserlim.transport import alternate_optimal_couplings
@@ -201,6 +202,22 @@ class TestDisplacementPath:
             assert path.constant_speed_defect <= space.mesh() + 1e-12
             for measure in path.measures:
                 assert abs(measure.weights.sum() - 1.0) <= 1e-12
+
+    def test_endpoint_pair_reuses_the_endpoint_solve(self, path5, monkeypatch):
+        mu0 = DiscreteMeasure(path5, np.array([0.3, 0.7, 0.0, 0.0, 0.0]))
+        mu1 = DiscreteMeasure(path5, np.array([0.0, 0.0, 0.2, 0.0, 0.8]))
+        calls = []
+
+        def counting(a, b, p):
+            calls.append((a, b))
+            return wasserstein_p(a, b, p)
+
+        monkeypatch.setattr(geodesics, "wasserstein_p", counting)
+        path = displacement_path(mu0, mu1, grid=(0.0, 0.25, 0.5, 0.75, 1.0))
+        # One endpoint solve and the nine other pairs of the ten.
+        assert len(calls) == 10
+        assert calls.count((mu0, mu1)) == 1
+        assert path.pair_defects[3] == (0.0, 1.0, 0.0)
 
     def test_endpoint_cost_agrees_with_solver(self, path5):
         mu0 = DiscreteMeasure(path5, np.array([0.3, 0.7, 0.0, 0.0, 0.0]))

@@ -5,16 +5,20 @@ import heapq
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
 from wasserlim import (
+    DiscreteMeasure,
     covering_number,
     diameter,
     dyadic_interval_space,
     graph_metric,
     validate_metric,
+    wasserstein_p,
 )
-from wasserlim.spaces import METRIC_TOL, FiniteMetricSpace
+from wasserlim import spaces as spaces_module
+from wasserlim.spaces import METRIC_TOL, FiniteMetricSpace, _check_metric
 from wasserlim.errors import (
     Asymmetric,
     Disconnected,
@@ -131,6 +135,95 @@ class TestGraphMetric:
     def test_mesh_is_max_edge_weight(self):
         space = graph_metric(3, [(0, 1, 0.25), (1, 2, 0.75)])
         assert space.mesh() == 0.75
+
+
+class TestSpaceOwnsItsMatrix:
+    """A space copies the matrix it is given: the caller's array stays
+    writable, and writing to it does not reach the space."""
+
+    LINE = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+
+    @pytest.mark.parametrize("build", [validate_metric, FiniteMetricSpace])
+    def test_callers_array_stays_writable_and_detached(self, build):
+        base = np.array(self.LINE)
+        space = build(base[:, :])
+        assert base.flags.writeable
+        base[0, 2] = base[2, 0] = 50.0
+        assert space.d(0, 2) == 2.0
+        assert not space.dist.flags.writeable
+        w1, _ = wasserstein_p(DiscreteMeasure.dirac(space, 0),
+                              DiscreteMeasure.dirac(space, 2), 1)
+        assert w1 == 2.0
+
+    def test_list_input_and_graph_metrics_are_read_only(self):
+        for space in (validate_metric(self.LINE), graph_metric(3, [(0, 1, 1.0), (1, 2, 1.0)])):
+            assert not space.dist.flags.writeable
+            with pytest.raises(ValueError):
+                space.dist[0, 1] = 5.0
+
+
+def shortest_path_slack(dist):
+    """Largest amount by which an entry exceeds the shortest path through
+    the matrix's own entries (a Floyd-Warshall pass)."""
+    n = dist.shape[0]
+    cols = np.tile(np.arange(n, dtype=np.int32), n)
+    indptr = np.arange(0, n * n + 1, n, dtype=np.int32)
+    shortest = floyd_warshall(csr_matrix((dist.ravel(), cols, indptr), shape=(n, n)))
+    return float((dist - shortest).max())
+
+
+def rounding_bound(dist):
+    """The triangle slack graph_metric documents: 4 * n * 2**-53 * diam."""
+    return 4 * dist.shape[0] * 2.0**-53 * float(dist.max())
+
+
+class TestGraphMetricsAreMetrics:
+    """graph_metric skips the O(n^3) triangle check because shortest-path
+    matrices are metrics by construction; this corpus holds it to the full
+    check instead, and to the rounding bound its docstring states."""
+
+    def test_skips_the_runtime_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spaces_module, "_check_metric", calls.append)
+        graph_metric(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        dyadic_interval_space(4)
+        assert calls == []
+        validate_metric([[0.0, 1.0], [1.0, 0.0]])
+        assert len(calls) == 1
+
+    def test_random_graphs_with_parallel_edges_and_mixed_weights(self):
+        rng = seeded(9)
+        for _ in range(40):
+            n = int(rng.integers(2, 80))
+            m = int(rng.integers(n - 1, 4 * n))
+            # Weights from 1e-6 to 1e12 in one graph.
+            w = 10.0 ** rng.uniform(-6, 12, size=m + n - 1)
+            perm = rng.permutation(n)
+            edges = [(int(perm[j]), int(perm[j + 1]), float(w[j])) for j in range(n - 1)]
+            edges += [(int(a), int(b), float(x)) for a, b, x in
+                      zip(rng.integers(0, n, m), rng.integers(0, n, m), w[n - 1:])]
+            edges += [(u, v, 2 * x) for u, v, x in edges[: n // 2]]  # parallel
+            dist = graph_metric(n, edges).dist
+            _check_metric(dist)
+            assert shortest_path_slack(dist) <= rounding_bound(dist)
+
+    @pytest.mark.parametrize("kind", ["mixed", "tenths"])
+    def test_long_paths(self, kind):
+        rng = seeded(10, len(kind))
+        n = 1000
+        if kind == "mixed":
+            w = 10.0 ** rng.uniform(-6, 12, size=n - 1)
+        else:
+            w = np.full(n - 1, 0.1)  # not dyadic: every sum rounds
+        dist = graph_metric(n, [(j, j + 1, float(w[j])) for j in range(n - 1)]).dist
+        _check_metric(dist)
+
+    def test_dyadic_intervals(self):
+        for level in range(11):
+            dist = dyadic_interval_space(level).dist
+            _check_metric(dist)
+            if level <= 8:
+                assert shortest_path_slack(dist) <= rounding_bound(dist)
 
 
 def reference_dijkstra(n, edges, source):

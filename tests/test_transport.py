@@ -308,6 +308,15 @@ class TestAlternateOptima:
         assert not has_alternate_optimum(coupling)
         assert alternate_optimal_couplings(coupling) == []
 
+    def test_no_alternate_skips_the_arc_scan(self, path3, monkeypatch):
+        def refuse(state):
+            raise AssertionError("zero-cost arcs scanned with none to find")
+
+        monkeypatch.setattr(transport, "_zero_cost_nonbasic", refuse)
+        _, coupling = wasserstein_p(DiscreteMeasure.dirac(path3, 0),
+                                    DiscreteMeasure.dirac(path3, 2), 2.0)
+        assert alternate_optimal_couplings(coupling) == []
+
 
 # -- the network simplex against a from-scratch reference -------------------
 #

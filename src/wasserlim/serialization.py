@@ -104,7 +104,7 @@ def measure_to_dict(mu: DiscreteMeasure, space_ref: str | None = None) -> dict:
 
 
 def _resolve_space(
-    ref: Any, relative_to: Path | None, space_files: dict | None
+    ref: Any, relative_to: Path | None, space_files: dict
 ) -> FiniteMetricSpace:
     if isinstance(ref, dict):
         return space_from_dict(ref)
@@ -112,8 +112,6 @@ def _resolve_space(
         path = Path(ref)
         if not path.is_absolute() and relative_to is not None:
             path = relative_to / path
-        if space_files is None:
-            return load_space(path)
         key = os.path.realpath(path)
         if key not in space_files:
             space_files[key] = load_space(path)
@@ -133,6 +131,8 @@ def measure_from_dict(
     """
     if not isinstance(data, dict) or "weights" not in data or "space" not in data:
         raise ValueError("measure document needs 'space' and 'weights'")
+    if space_files is None:
+        space_files = {}
     space = _resolve_space(data["space"], relative_to, space_files)
     weights = np.asarray(data["weights"], dtype=float)
     return DiscreteMeasure(space, weights)

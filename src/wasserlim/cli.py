@@ -8,12 +8,12 @@ runs produce identical bytes.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
 
 import click
-from click.core import ParameterSource
 
 from .curvature import estimate_k
 from .errors import WasserlimError
@@ -33,7 +33,7 @@ from .serialization import (
     load_space,
     measure_from_dict,
     measure_to_dict,
-    space_from_dict,
+    resolve_space,
     space_to_dict,
     svg_line_chart,
     write_csv,
@@ -43,7 +43,7 @@ from .spaces import diameter
 from .transport import wasserstein_p
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 @click.option(
     "--config",
     type=click.Path(exists=True, dir_okay=False),
@@ -53,47 +53,55 @@ from .transport import wasserstein_p
 @click.pass_context
 def main(ctx: click.Context, config: str | None) -> None:
     """Wasserstein distances, geodesics, and curvature checks on finite spaces."""
-    ctx.ensure_object(dict)
-    if config is not None:
-        import json
-
-        with open(config, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except ValueError as exc:
-                raise click.UsageError(f"config file is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
-            raise click.UsageError("config file must hold a JSON object")
-        ctx.obj["config"] = loaded
-    else:
-        ctx.obj["config"] = {}
+    if config is None:
+        return
+    with open(config, "r", encoding="utf-8") as fh:
+        try:
+            loaded = json.load(fh)
+        except ValueError as exc:
+            raise click.UsageError(f"config file is not valid JSON: {exc}")
+    if not isinstance(loaded, dict):
+        raise click.UsageError("config file must hold a JSON object")
+    name = ctx.invoked_subcommand
+    ctx.default_map = {name: _config_defaults(main.commands[name], loaded)}
 
 
-def _pick(ctx: click.Context, param: str, key: str, value):
-    """Flag value, unless it was left at its default and the config file
-    has an entry for it."""
-    cfg = ctx.obj.get("config", {})
-    if key in cfg and ctx.get_parameter_source(param) == ParameterSource.DEFAULT:
-        return cfg[key]
-    return value
+def _config_defaults(command: click.Command, config: dict) -> dict:
+    """Click's default map for ``command`` from the config object.
+
+    The key of a flag is its name with ``-`` turned into ``_`` (``--k-hint``
+    is ``k_hint``). Click converts each value with the flag's type, and
+    explicit flags win. A null leaves the flag at its default; a boolean,
+    list or object is a usage error. Keys that name no flag of ``command``
+    are ignored.
+    """
+    defaults = {}
+    for param in command.params:
+        key = param.opts[0][2:].replace("-", "_")
+        value = config.get(key)
+        if isinstance(value, (bool, list, dict)):
+            raise click.UsageError(
+                f"config key '{key}' must be a string or a number, "
+                f"got {json.dumps(value)}"
+            )
+        if value is not None:
+            defaults[param.name] = value
+    return defaults
 
 
-def _require(value, flag: str):
+def _require(value, flag: str) -> None:
     if value is None:
         raise click.UsageError(f"missing required option {flag}")
-    return value
 
 
-def _check_positive(value: float, flag: str) -> float:
+def _check_positive(value: float, flag: str) -> None:
     if not (value > 0):
         raise click.UsageError(f"{flag} must be positive, got {value}")
-    return value
 
 
-def _check_p(p: float) -> float:
+def _check_p(p: float) -> None:
     if not (p >= 1):
         raise click.UsageError(f"--p must be >= 1, got {p}")
-    return p
 
 
 def _emit_error(exc: Exception) -> None:
@@ -117,16 +125,14 @@ def _run(fn) -> None:
 @main.command()
 @click.option("--mu", "mu_path", default=None, help="Source measure JSON.")
 @click.option("--nu", "nu_path", default=None, help="Target measure JSON.")
-@click.option("--p", default=2.0, show_default=True, help="Cost exponent, >= 1.")
+@click.option("--p", default=2.0, help="Cost exponent, >= 1.")
 @click.option("--coupling", "coupling_path", default=None,
               help="Write the optimal coupling JSON here.")
-@click.pass_context
-def transport(ctx, mu_path, nu_path, p, coupling_path):
+def transport(mu_path, nu_path, p, coupling_path):
     """Exact W_p distance between two measures."""
-    mu_path = _require(_pick(ctx, "mu_path", "mu", mu_path), "--mu")
-    nu_path = _require(_pick(ctx, "nu_path", "nu", nu_path), "--nu")
-    p = _check_p(float(_pick(ctx, "p", "p", p)))
-    coupling_path = _pick(ctx, "coupling_path", "coupling", coupling_path)
+    _require(mu_path, "--mu")
+    _require(nu_path, "--nu")
+    _check_p(p)
 
     def go():
         space_files: dict = {}
@@ -143,18 +149,15 @@ def transport(ctx, mu_path, nu_path, p, coupling_path):
 @main.command()
 @click.option("--mu0", "mu0_path", default=None, help="Start measure JSON.")
 @click.option("--mu1", "mu1_path", default=None, help="End measure JSON.")
-@click.option("--grid", default="0,0.5,1", show_default=True,
+@click.option("--grid", default="0,0.5,1",
               help="Comma-separated interpolation times, must include 0 and 1.")
 @click.option("--out", "out_path", default=None, help="Write the path JSON here.")
-@click.pass_context
-def geodesic(ctx, mu0_path, mu1_path, grid, out_path):
+def geodesic(mu0_path, mu1_path, grid, out_path):
     """Displacement interpolation between two measures on a graph space."""
-    mu0_path = _require(_pick(ctx, "mu0_path", "mu0", mu0_path), "--mu0")
-    mu1_path = _require(_pick(ctx, "mu1_path", "mu1", mu1_path), "--mu1")
-    grid = _pick(ctx, "grid", "grid", grid)
-    out_path = _pick(ctx, "out_path", "out", out_path)
+    _require(mu0_path, "--mu0")
+    _require(mu1_path, "--mu1")
     try:
-        times = tuple(float(tok) for tok in str(grid).split(",") if tok.strip())
+        times = tuple(float(tok) for tok in grid.split(",") if tok.strip())
     except ValueError:
         raise click.UsageError(f"--grid must be comma-separated numbers, got {grid!r}")
     if not times:
@@ -184,23 +187,15 @@ def geodesic(ctx, mu0_path, mu1_path, grid, out_path):
 
 @main.command()
 @click.option("--lambda", "ref_path", default=None, help="Reference measure JSON.")
-@click.option("--pairs", default=50, show_default=True,
-              help="Number of sampled density pairs.")
-@click.option("--seed", default=0, show_default=True, help="Sampling seed.")
-@click.option("--k-hint", default=0.0, show_default=True,
-              help="K to compare the witnessed value against.")
-@click.option("--tol", default=1e-7, show_default=True,
-              help="Entropy comparison tolerance.")
+@click.option("--pairs", default=50, help="Number of sampled density pairs.")
+@click.option("--seed", default=0, help="Sampling seed.")
+@click.option("--k-hint", default=0.0, help="K to compare the witnessed value against.")
+@click.option("--tol", default=1e-7, help="Entropy comparison tolerance.")
 @click.option("--out", "out_path", default=None, help="Write the report JSON here.")
-@click.pass_context
-def cd(ctx, ref_path, pairs, seed, k_hint, tol, out_path):
+def cd(ref_path, pairs, seed, k_hint, tol, out_path):
     """Witness a curvature lower bound via midpoint entropy convexity."""
-    ref_path = _require(_pick(ctx, "ref_path", "lambda", ref_path), "--lambda")
-    pairs = int(_pick(ctx, "pairs", "pairs", pairs))
-    seed = int(_pick(ctx, "seed", "seed", seed))
-    k_hint = float(_pick(ctx, "k_hint", "k_hint", k_hint))
-    tol = _check_positive(float(_pick(ctx, "tol", "tol", tol)), "--tol")
-    out_path = _pick(ctx, "out_path", "out", out_path)
+    _require(ref_path, "--lambda")
+    _check_positive(tol, "--tol")
     if pairs < 1:
         raise click.UsageError("--pairs must be >= 1")
 
@@ -233,25 +228,21 @@ def cd(ctx, ref_path, pairs, seed, k_hint, tol, out_path):
     _run(go)
 
 
-def _load_case(path: Path):
-    import json
-
+def _load_case(path: Path, space_files: dict):
+    """Space, reference, mu, nu and label of a case file; ``space_files``
+    as in ``measure_from_dict``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "space" not in doc:
         raise ValueError(f"{path.name}: case file needs a 'space' entry")
-    ref = doc["space"]
-    if isinstance(ref, str):
-        space = load_space(path.parent / ref)
-    else:
-        space = space_from_dict(ref)
+    space = resolve_space(doc["space"], path.parent, space_files)
 
     def measure_of(key):
         val = doc.get(key)
         if val is None:
             return None
         if isinstance(val, dict):
-            return measure_from_dict(val, path.parent)
+            return measure_from_dict(val, path.parent, space_files)
         return DiscreteMeasure(space, val)
 
     lam = measure_of("lambda") or DiscreteMeasure.uniform(space)
@@ -262,40 +253,29 @@ def _load_case(path: Path):
 @main.command()
 @click.option("--dir", "case_dir", default=None,
               help="Directory of case JSON files, ordered by filename.")
-@click.option("--quantity", default="w2", show_default=True,
+@click.option("--quantity", default="w2",
               help="One of w<p> (e.g. w1, w2), wp (uses --p), tv, or k.")
-@click.option("--p", default=2.0, show_default=True,
-              help="Cost exponent for --quantity wp.")
-@click.option("--tol", default=1e-3, show_default=True,
-              help="Stabilization tolerance.")
-@click.option("--pairs", default=50, show_default=True,
-              help="Density pairs per entry for --quantity k.")
-@click.option("--seed", default=0, show_default=True,
-              help="Sampling seed for --quantity k.")
+@click.option("--p", default=2.0, help="Cost exponent for --quantity wp.")
+@click.option("--tol", default=1e-3, help="Stabilization tolerance.")
+@click.option("--pairs", default=50, help="Density pairs per entry for --quantity k.")
+@click.option("--seed", default=0, help="Sampling seed for --quantity k.")
 @click.option("--csv", "csv_path", default=None, help="Write index,label,value rows.")
 @click.option("--summary", "summary_path", default=None,
               help="Write the verdict JSON here "
                    "(default: next to --csv, with .summary.json suffix).")
 @click.option("--svg", "svg_path", default=None, help="Write a line chart here.")
-@click.pass_context
-def sequence(ctx, case_dir, quantity, p, tol, pairs, seed, csv_path,
-             summary_path, svg_path):
+def sequence(case_dir, quantity, p, tol, pairs, seed, csv_path, summary_path,
+             svg_path):
     """Drive a family of instances and judge tail stabilization."""
-    case_dir = _require(_pick(ctx, "case_dir", "dir", case_dir), "--dir")
-    quantity = str(_pick(ctx, "quantity", "quantity", quantity))
-    p = float(_pick(ctx, "p", "p", p))
-    tol = _check_positive(float(_pick(ctx, "tol", "tol", tol)), "--tol")
-    pairs = int(_pick(ctx, "pairs", "pairs", pairs))
-    seed = int(_pick(ctx, "seed", "seed", seed))
-    csv_path = _pick(ctx, "csv_path", "csv", csv_path)
-    summary_path = _pick(ctx, "summary_path", "summary", summary_path)
-    svg_path = _pick(ctx, "svg_path", "svg", svg_path)
+    _require(case_dir, "--dir")
+    _check_positive(tol, "--tol")
 
     wp_form = re.fullmatch(r"w(\d+(?:\.\d+)?)", quantity)
     if quantity == "wp":
-        p = _check_p(p)
+        _check_p(p)
     elif wp_form:
-        p = _check_p(float(wp_form.group(1)))
+        p = float(wp_form.group(1))
+        _check_p(p)
     elif quantity not in ("tv", "k"):
         raise click.UsageError(
             f"--quantity must be w<p>, wp, tv, or k, got {quantity!r}"
@@ -305,7 +285,8 @@ def sequence(ctx, case_dir, quantity, p, tol, pairs, seed, csv_path,
         files = sorted(Path(case_dir).glob("*.json"))
         if not files:
             raise ValueError(f"no case files (*.json) in {case_dir}")
-        cases = [_load_case(f) for f in files]
+        space_files: dict = {}
+        cases = [_load_case(f, space_files) for f in files]
         seq = SpaceSequence(
             tuple((space, lam) for space, lam, _, _, _ in cases),
             tuple(label for _, _, _, _, label in cases),
@@ -359,16 +340,12 @@ def sequence(ctx, case_dir, quantity, p, tol, pairs, seed, csv_path,
 
 
 @main.command()
-@click.option("--n", "n_list", default="4,100,10000,1000000", show_default=True,
+@click.option("--n", "n_list", default="4,100,10000,1000000",
               help="Comma-separated N values.")
 @click.option("--csv", "csv_path", default=None, help="Write index,label,w2,tv rows.")
 @click.option("--svg", "svg_path", default=None, help="Write a line chart here.")
-@click.pass_context
-def counterexample(ctx, n_list, csv_path, svg_path):
+def counterexample(n_list, csv_path, svg_path):
     """Escaping-mass family: W2 stays at 1 while TV vanishes."""
-    n_list = str(_pick(ctx, "n_list", "n", n_list))
-    csv_path = _pick(ctx, "csv_path", "csv", csv_path)
-    svg_path = _pick(ctx, "svg_path", "svg", svg_path)
     try:
         n_values = [int(tok) for tok in n_list.split(",") if tok.strip()]
     except ValueError:
@@ -402,16 +379,14 @@ def counterexample(ctx, n_list, csv_path, svg_path):
 @main.command()
 @click.option("--mu", "mu_path", default=None, help="Measure JSON to quantize.")
 @click.option("--delta", default=None, type=float, help="Target W_p error, > 0.")
-@click.option("--p", default=2.0, show_default=True, help="Cost exponent, >= 1.")
+@click.option("--p", default=2.0, help="Cost exponent, >= 1.")
 @click.option("--out", "out_path", default=None, help="Write the cloud JSON here.")
-@click.pass_context
-def quantize(ctx, mu_path, delta, p, out_path):
+def quantize(mu_path, delta, p, out_path):
     """Approximate a measure by a uniform Dirac cloud within delta."""
-    mu_path = _require(_pick(ctx, "mu_path", "mu", mu_path), "--mu")
-    delta = _require(_pick(ctx, "delta", "delta", delta), "--delta")
-    delta = _check_positive(float(delta), "--delta")
-    p = _check_p(float(_pick(ctx, "p", "p", p)))
-    out_path = _pick(ctx, "out_path", "out", out_path)
+    _require(mu_path, "--mu")
+    _require(delta, "--delta")
+    _check_positive(delta, "--delta")
+    _check_p(p)
 
     def go():
         mu = load_measure(mu_path)
@@ -436,10 +411,9 @@ def quantize(ctx, mu_path, delta, p, out_path):
 
 @main.command()
 @click.option("--space", "space_path", default=None, help="Space JSON to validate.")
-@click.pass_context
-def validate(ctx, space_path):
+def validate(space_path):
     """Check the metric axioms of a space file."""
-    space_path = _require(_pick(ctx, "space_path", "space", space_path), "--space")
+    _require(space_path, "--space")
 
     def go():
         space = load_space(space_path)

@@ -103,15 +103,23 @@ def measure_to_dict(mu: DiscreteMeasure, space_ref: str | None = None) -> dict:
     return {"space": space, "weights": [float(w) for w in mu.weights]}
 
 
-def _resolve_space(
+def _file_path(ref: str, relative_to: Path | None) -> Path:
+    """``ref`` read relative to ``relative_to``, unless it is absolute."""
+    return Path(relative_to or ".") / ref
+
+
+def resolve_space(
     ref: Any, relative_to: Path | None, space_files: dict
 ) -> FiniteMetricSpace:
+    """The space of a 'space' entry: an inline object, or a file path read
+    relative to ``relative_to``. ``space_files`` maps each space file
+    already loaded (by real path) to its space and gains any file loaded
+    here, so references resolved with one dict share one space object per
+    file."""
     if isinstance(ref, dict):
         return space_from_dict(ref)
     if isinstance(ref, str):
-        path = Path(ref)
-        if not path.is_absolute() and relative_to is not None:
-            path = relative_to / path
+        path = _file_path(ref, relative_to)
         key = os.path.realpath(path)
         if key not in space_files:
             space_files[key] = load_space(path)
@@ -122,18 +130,14 @@ def _resolve_space(
 def measure_from_dict(
     data: dict, relative_to: Path | None = None, space_files: dict | None = None
 ) -> DiscreteMeasure:
-    """Measure from its document; a string 'space' is a file path, read
-    relative to ``relative_to``.
-
-    ``space_files``, when given, maps each space file already loaded (by
-    real path) to its space and gains any file loaded here, so
-    measures loaded with one dict share one space object per file.
+    """Measure from its document; its 'space' goes through
+    ``resolve_space``, with a fresh ``space_files`` dict when none is given.
     """
     if not isinstance(data, dict) or "weights" not in data or "space" not in data:
         raise ValueError("measure document needs 'space' and 'weights'")
     if space_files is None:
         space_files = {}
-    space = _resolve_space(data["space"], relative_to, space_files)
+    space = resolve_space(data["space"], relative_to, space_files)
     weights = np.asarray(data["weights"], dtype=float)
     return DiscreteMeasure(space, weights)
 
@@ -150,10 +154,7 @@ def density_from_dict(data: dict, relative_to: Path | None = None) -> Density:
         raise ValueError("density document needs 'reference' and 'values'")
     ref = data["reference"]
     if isinstance(ref, str):
-        path = Path(ref)
-        if not path.is_absolute() and relative_to is not None:
-            path = relative_to / path
-        base = load_measure(path)
+        base = load_measure(_file_path(ref, relative_to))
     else:
         base = measure_from_dict(ref, relative_to)
     values = np.asarray(data["values"], dtype=float)

@@ -1,6 +1,10 @@
 """End-to-end command behavior: exit codes, error JSON, config
-precedence, byte-stable artifacts, --help coverage."""
+precedence, byte-stable artifacts, --help coverage.
 
+``PYTHONPATH=src python tests/test_cli.py`` prints the CLI digest.
+"""
+
+import hashlib
 import json
 from pathlib import Path
 
@@ -43,6 +47,106 @@ def two_point_doc(dist: float) -> dict:
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def write_corpus_inputs(root: Path) -> None:
+    """The files the CLI corpus names, relative to ``root``."""
+    write_doc(root / "s.json", PATH3)
+    write_doc(root / "mu.json", {"space": "s.json", "weights": [0.5, 0.3, 0.2]})
+    write_doc(root / "nu.json", {"space": "s.json", "weights": [0, 0, 1]})
+    write_doc(root / "lam.json", {
+        "space": space_to_dict(dyadic_interval_space(3)), "weights": [1.0] * 9,
+    })
+    (root / "cases").mkdir()
+    write_doc(root / "cases" / "a.json", {
+        "space": "../s.json",
+        "label": "A",
+        "lambda": {"space": "../s.json", "weights": [1, 2, 1]},
+        "mu": {"space": "../s.json", "weights": [1, 0, 0]},
+        "nu": [0, 0.5, 0.5],
+    })
+    write_doc(root / "cases" / "b.json", {
+        "space": {"points": ["0", "1"], "base": 0, "edges": [[0, 1, 2.0]]},
+        "mu": [1, 0],
+        "nu": [0.5, 0.5],
+    })
+
+
+# One call per subcommand that sets every flag, with the files it writes.
+CLI_CORPUS = (
+    (("transport", "--mu", "mu.json", "--nu", "nu.json", "--p", "1",
+      "--coupling", "coupling.json"), ("coupling.json",)),
+    (("geodesic", "--mu0", "mu.json", "--mu1", "nu.json", "--grid", "0,0.25,0.5,1",
+      "--out", "path.json"), ("path.json",)),
+    (("cd", "--lambda", "lam.json", "--pairs", "3", "--seed", "7", "--k-hint", "-1",
+      "--tol", "1e-6", "--out", "report.json"), ("report.json",)),
+    (("sequence", "--dir", "cases", "--quantity", "wp", "--p", "1.5", "--tol", "0.01",
+      "--pairs", "2", "--seed", "3", "--csv", "seq.csv", "--summary", "seq.json",
+      "--svg", "seq.svg"), ("seq.csv", "seq.json", "seq.svg")),
+    (("counterexample", "--n", "4,16", "--csv", "ce.csv", "--svg", "ce.svg"),
+     ("ce.csv", "ce.svg")),
+    (("quantize", "--mu", "mu.json", "--delta", "0.5", "--p", "1", "--out", "cloud.json"),
+     ("cloud.json",)),
+    (("validate", "--space", "s.json"), ()),
+)
+
+# Calls run by flags only: a curvature sequence, one exit-1 and one exit-2 case.
+CLI_EXTRA = (
+    (("sequence", "--dir", "cases", "--quantity", "k", "--pairs", "2", "--csv", "k.csv"),
+     ("k.csv", "k.summary.json")),
+    (("validate", "--space", "absent.json"), ()),
+    (("transport", "--mu", "mu.json", "--nu", "nu.json", "--p", "0.5"), ()),
+)
+
+
+def config_value(token: str):
+    """A flag's value as a config file would hold it: numbers as numbers."""
+    try:
+        return json.loads(token)
+    except ValueError:
+        return token
+
+
+def config_call(args) -> tuple:
+    """Write ``cfg.json`` setting every flag of ``args``; return the call
+    that reads it."""
+    flags = args[1:]
+    doc = {flag[2:].replace("-", "_"): config_value(value)
+           for flag, value in zip(flags[::2], flags[1::2])}
+    write_doc(Path("cfg.json"), doc)
+    return ("--config", "cfg.json", args[0])
+
+
+def run_cli(args, outputs) -> tuple:
+    """Exit code, stdout and the bytes of each named output (None when not
+    written) of one call in the working directory; removes the outputs."""
+    result = CliRunner().invoke(main, list(args))
+    written = []
+    for name in outputs:
+        path = Path(name)
+        written.append(path.read_bytes() if path.exists() else None)
+        path.unlink(missing_ok=True)
+    return result.exit_code, result.stdout, written
+
+
+def cli_digest() -> str:
+    """sha256 over exit code, stdout and written bytes of the corpus calls,
+    by flags and by ``--config``, with relative paths in a fresh working
+    directory. Equal digests on two versions of the package mean their
+    CLIs behave alike on these inputs."""
+    h = hashlib.sha256()
+    with CliRunner().isolated_filesystem():
+        write_corpus_inputs(Path.cwd())
+        for args, outputs in CLI_CORPUS:
+            h.update(repr((args, run_cli(args, outputs))).encode())
+            call = config_call(args)
+            h.update(repr((call, run_cli(call, outputs))).encode())
+        for args, outputs in CLI_EXTRA:
+            h.update(repr((args, run_cli(args, outputs))).encode())
+    return h.hexdigest()
+
+
+CLI_DIGEST = "bc3f5a31797eafe62e76d72bf8304b59c7a68465309f40165ddd8ed10e38715e"
 
 
 @pytest.fixture
@@ -152,8 +256,8 @@ class TestTransport:
 
 
 class TestSharedSpaceFile:
-    """One transport or geodesic call parses a space file that both
-    measures name once, and gives both measures that one space."""
+    """One transport, geodesic or sequence call parses a space file that
+    its inputs name several times once, and gives them all that one space."""
 
     @pytest.fixture
     def shared_files(self, tmp_path):
@@ -197,6 +301,22 @@ class TestSharedSpaceFile:
         write_doc(tmp_path / "s.json", doubled)
         assert runner.invoke(main, args).output == "w2 = 4\n"
         assert loads == ["s.json", "s.json"]
+
+    def test_sequence_loads_a_shared_file_once(self, runner, tmp_path, loads):
+        write_doc(tmp_path / "s.json", PATH3)
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        for name, weights in (("a", [1, 0, 0]), ("b", [0, 1, 0])):
+            write_doc(cases / f"{name}.json", {
+                "space": "../s.json",
+                "lambda": {"space": "../s.json", "weights": [1, 1, 1]},
+                "mu": {"space": "../s.json", "weights": weights},
+                "nu": {"space": "../s.json", "weights": [0, 0, 1]},
+            })
+        result = runner.invoke(main, ["sequence", "--dir", str(cases)])
+        assert result.exit_code == 0, result.output
+        assert result.output == "w2: stabilized=true limit_estimate=1 tail_start=1\n"
+        assert loads == ["s.json"]
 
     def test_different_space_files_load_separately(self, runner, tmp_path, loads):
         write_doc(tmp_path / "a.json", PATH3)
@@ -586,6 +706,79 @@ class TestConfigFile:
         result = runner.invoke(main, ["--config", str(cfg), "counterexample"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command, bad", [
+        ("transport", {"p": "abc"}),
+        ("cd", {"pairs": "x"}),
+        ("quantize", {"delta": "x"}),
+        ("transport", {"p": [1, 2]}),
+        ("transport", {"p": {"value": 1}}),
+        ("transport", {"p": True}),
+    ])
+    def test_bad_value_is_a_usage_error_naming_the_key(self, runner, tmp_path,
+                                                         monkeypatch, command, bad):
+        monkeypatch.chdir(tmp_path)
+        write_corpus_inputs(tmp_path)
+        valid = {"transport": {"mu": "mu.json", "nu": "nu.json"},
+                 "cd": {"lambda": "lam.json"},
+                 "quantize": {"mu": "mu.json", "delta": 0.5}}[command]
+        write_doc(tmp_path / "cfg.json", {**valid, **bad})
+        result = runner.invoke(main, ["--config", "cfg.json", command])
+        assert result.exit_code == 2, result.output
+        key = next(iter(bad))
+        assert f"'--{key}'" in result.stderr or f"key '{key}'" in result.stderr
+
+    def test_null_leaves_the_flag_at_its_default(self, runner, path3_files, tmp_path):
+        _, mu, nu = path3_files
+        cfg = write_doc(tmp_path / "cfg.json", {"mu": str(mu), "nu": str(nu), "p": None})
+        result = runner.invoke(main, ["--config", str(cfg), "transport"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "w2 = 2\n"
+
+    def test_number_names_a_file_not_a_descriptor(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_doc(tmp_path / "7", {"space": PATH3, "weights": [1, 0, 0]})
+        write_doc(tmp_path / "nu.json", {"space": PATH3, "weights": [0, 0, 1]})
+        cfg = write_doc(tmp_path / "cfg.json", {"mu": 7, "nu": "nu.json"})
+        result = runner.invoke(main, ["--config", str(cfg), "transport"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "w2 = 2\n"
+
+    def test_keys_of_no_flag_are_ignored(self, runner, path3_files, tmp_path):
+        _, mu, nu = path3_files
+        cfg = write_doc(tmp_path / "cfg.json",
+                        {"mu": str(mu), "nu": str(nu), "delta": [1], "frobnicate": {}})
+        result = runner.invoke(main, ["--config", str(cfg), "transport"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "w2 = 2\n"
+
+    def test_help_shows_config_values_as_defaults(self, runner, tmp_path):
+        cfg = write_doc(tmp_path / "cfg.json", {"p": 3, "coupling": "c.json"})
+        result = runner.invoke(main, ["--config", str(cfg), "transport", "--help"],
+                               env={"COLUMNS": "80"})
+        assert result.exit_code == 0
+        assert "[default: 3" in result.output
+        assert "[default: c.json]" in result.output
+
+
+class TestConfigMatchesFlags:
+    """Each subcommand with every flag set in a config file behaves as
+    with the same flags on the command line, which pins every key."""
+
+    @pytest.mark.parametrize("args, outputs", CLI_CORPUS,
+                             ids=[args[0] for args, _ in CLI_CORPUS])
+    def test_same_exit_code_stdout_and_files(self, tmp_path, monkeypatch, args, outputs):
+        flags = {max(param.opts, key=len) for param in main.commands[args[0]].params}
+        assert set(args[1::2]) == flags
+        monkeypatch.chdir(tmp_path)
+        write_corpus_inputs(tmp_path)
+        by_flags = run_cli(args, outputs)
+        assert by_flags[0] == 0, by_flags
+        assert run_cli(config_call(args), outputs) == by_flags
+
+
+def test_cli_digest_is_unchanged():
+    assert cli_digest() == CLI_DIGEST
+
 
 class TestDeterminism:
     def test_identical_seeded_runs_write_identical_bytes(self, runner, tmp_path):
@@ -660,3 +853,7 @@ class TestHelp:
         result = runner.invoke(main, ["--help"], env={"COLUMNS": "80"})
         for name in SUBCOMMANDS:
             assert name in result.output
+
+
+if __name__ == "__main__":
+    print(cli_digest())

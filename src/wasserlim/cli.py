@@ -43,7 +43,24 @@ from .spaces import diameter
 from .transport import wasserstein_p
 
 
-@click.group(context_settings={"show_default": True})
+class _Main(click.Group):
+    """The CLI's one error boundary: a domain error raised while the group
+    or a subcommand runs exits 1 with its JSON payload on stdout. Usage
+    errors are click's own and pass through to exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (WasserlimError, ValueError, OSError) as exc:
+            if isinstance(exc, WasserlimError):
+                payload = exc.payload()
+            else:
+                payload = {"error": type(exc).__name__, "message": str(exc)}
+            click.echo(canonical_json(payload))
+            sys.exit(1)
+
+
+@click.group(cls=_Main, context_settings={"show_default": True})
 @click.option(
     "--config",
     type=click.Path(exists=True, dir_okay=False),
@@ -104,24 +121,6 @@ def _check_p(p: float) -> None:
         raise click.UsageError(f"--p must be >= 1, got {p}")
 
 
-def _emit_error(exc: Exception) -> None:
-    if isinstance(exc, WasserlimError):
-        payload = exc.payload()
-    else:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-    click.echo(canonical_json(payload))
-    sys.exit(1)
-
-
-def _run(fn) -> None:
-    try:
-        fn()
-    except click.ClickException:
-        raise
-    except (WasserlimError, ValueError, OSError) as exc:
-        _emit_error(exc)
-
-
 @main.command()
 @click.option("--mu", "mu_path", default=None, help="Source measure JSON.")
 @click.option("--nu", "nu_path", default=None, help="Target measure JSON.")
@@ -134,16 +133,13 @@ def transport(mu_path, nu_path, p, coupling_path):
     _require(nu_path, "--nu")
     _check_p(p)
 
-    def go():
-        space_files: dict = {}
-        mu = load_measure(mu_path, space_files)
-        nu = load_measure(nu_path, space_files)
-        value, coupling = wasserstein_p(mu, nu, p)
-        if coupling_path:
-            write_json(coupling_path, coupling_to_dict(coupling))
-        click.echo(f"w{p:g} = {value:.17g}")
-
-    _run(go)
+    space_files: dict = {}
+    mu = load_measure(mu_path, space_files)
+    nu = load_measure(nu_path, space_files)
+    value, coupling = wasserstein_p(mu, nu, p)
+    if coupling_path:
+        write_json(coupling_path, coupling_to_dict(coupling))
+    click.echo(f"w{p:g} = {value:.17g}")
 
 
 @main.command()
@@ -163,26 +159,23 @@ def geodesic(mu0_path, mu1_path, grid, out_path):
     if not times:
         raise click.UsageError("--grid must name at least 0 and 1")
 
-    def go():
-        space_files: dict = {}
-        mu0 = load_measure(mu0_path, space_files)
-        mu1 = load_measure(mu1_path, space_files)
-        path = displacement_path(mu0, mu1, times)
-        if out_path:
-            write_json(out_path, {
-                "space": space_to_dict(mu0.space),
-                "times": list(path.times),
-                "cost": path.endpoints_cost,
-                "constant_speed_defect": path.constant_speed_defect,
-                "pair_defects": [list(t) for t in path.pair_defects],
-                "measures": [[float(w) for w in m.weights] for m in path.measures],
-            })
-        click.echo(
-            f"w2 = {path.endpoints_cost:.17g}, "
-            f"constant-speed defect = {path.constant_speed_defect:.17g}"
-        )
-
-    _run(go)
+    space_files: dict = {}
+    mu0 = load_measure(mu0_path, space_files)
+    mu1 = load_measure(mu1_path, space_files)
+    path = displacement_path(mu0, mu1, times)
+    if out_path:
+        write_json(out_path, {
+            "space": space_to_dict(mu0.space),
+            "times": list(path.times),
+            "cost": path.endpoints_cost,
+            "constant_speed_defect": path.constant_speed_defect,
+            "pair_defects": [list(t) for t in path.pair_defects],
+            "measures": [[float(w) for w in m.weights] for m in path.measures],
+        })
+    click.echo(
+        f"w2 = {path.endpoints_cost:.17g}, "
+        f"constant-speed defect = {path.constant_speed_defect:.17g}"
+    )
 
 
 @main.command()
@@ -199,33 +192,30 @@ def cd(ref_path, pairs, seed, k_hint, tol, out_path):
     if pairs < 1:
         raise click.UsageError("--pairs must be >= 1")
 
-    def go():
-        lam = load_measure(ref_path)
-        report = estimate_k(lam, pairs, seed, tol)
-        nu0, nu1, midpoint, lhs, rhs = report.worst_pair
-        if out_path:
-            write_json(out_path, {
-                "k_witnessed": report.k_witnessed,
-                "k_hint": k_hint,
-                "hint_satisfied": bool(report.k_witnessed >= k_hint - tol),
-                "pairs_tested": report.pairs_tested,
-                "skipped": report.skipped,
-                "tolerance": report.tolerance,
-                "values": list(report.values),
-                "worst_pair": {
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "nu0": [float(w) for w in nu0.weights],
-                    "nu1": [float(w) for w in nu1.weights],
-                    "midpoint": [float(w) for w in midpoint.weights],
-                },
-            })
-        click.echo(
-            f"k_witnessed = {report.k_witnessed:.3f} "
-            f"({report.pairs_tested} pairs, {report.skipped} skipped)"
-        )
-
-    _run(go)
+    lam = load_measure(ref_path)
+    report = estimate_k(lam, pairs, seed, tol)
+    nu0, nu1, midpoint, lhs, rhs = report.worst_pair
+    if out_path:
+        write_json(out_path, {
+            "k_witnessed": report.k_witnessed,
+            "k_hint": k_hint,
+            "hint_satisfied": bool(report.k_witnessed >= k_hint - tol),
+            "pairs_tested": report.pairs_tested,
+            "skipped": report.skipped,
+            "tolerance": report.tolerance,
+            "values": list(report.values),
+            "worst_pair": {
+                "lhs": lhs,
+                "rhs": rhs,
+                "nu0": [float(w) for w in nu0.weights],
+                "nu1": [float(w) for w in nu1.weights],
+                "midpoint": [float(w) for w in midpoint.weights],
+            },
+        })
+    click.echo(
+        f"k_witnessed = {report.k_witnessed:.3f} "
+        f"({report.pairs_tested} pairs, {report.skipped} skipped)"
+    )
 
 
 def _load_case(path: Path, space_files: dict):
@@ -281,62 +271,59 @@ def sequence(case_dir, quantity, p, tol, pairs, seed, csv_path, summary_path,
             f"--quantity must be w<p>, wp, tv, or k, got {quantity!r}"
         )
 
-    def go():
-        files = sorted(Path(case_dir).glob("*.json"))
-        if not files:
-            raise ValueError(f"no case files (*.json) in {case_dir}")
-        space_files: dict = {}
-        cases = [_load_case(f, space_files) for f in files]
-        seq = SpaceSequence(
-            tuple((space, lam) for space, lam, _, _, _ in cases),
-            tuple(label for _, _, _, _, label in cases),
-        )
-        if quantity == "k":
-            verdict = sequence_cd(seq, pairs, seed, tol)
+    files = sorted(Path(case_dir).glob("*.json"))
+    if not files:
+        raise ValueError(f"no case files (*.json) in {case_dir}")
+    space_files: dict = {}
+    cases = [_load_case(f, space_files) for f in files]
+    seq = SpaceSequence(
+        tuple((space, lam) for space, lam, _, _, _ in cases),
+        tuple(label for _, _, _, _, label in cases),
+    )
+    if quantity == "k":
+        verdict = sequence_cd(seq, pairs, seed, tol)
+    else:
+        mu_family = [c[2] for c in cases]
+        nu_family = [c[3] for c in cases]
+        if any(m is None for m in mu_family + nu_family):
+            raise ValueError(
+                f"--quantity {quantity} needs 'mu' and 'nu' in every case file"
+            )
+        if quantity == "tv":
+            verdict = sequence_total_variation(seq, mu_family, nu_family, tol)
         else:
-            mu_family = [c[2] for c in cases]
-            nu_family = [c[3] for c in cases]
-            if any(m is None for m in mu_family + nu_family):
-                raise ValueError(
-                    f"--quantity {quantity} needs 'mu' and 'nu' in every case file"
-                )
-            if quantity == "tv":
-                verdict = sequence_total_variation(seq, mu_family, nu_family, tol)
-            else:
-                verdict = sequence_wasserstein(seq, mu_family, nu_family, p, tol)
-        if csv_path:
-            write_csv(
-                csv_path,
-                ["index", "label", "value"],
-                [(i, seq.labels[i], v) for i, v in enumerate(verdict.values)],
-            )
-        summary_target = summary_path
-        if summary_target is None and csv_path:
-            summary_target = str(Path(csv_path).with_suffix(".summary.json"))
-        if summary_target:
-            write_json(summary_target, {
-                "quantity": verdict.quantity,
-                "stabilized": verdict.stabilized,
-                "limit_estimate": verdict.limit_estimate,
-                "tail_start": verdict.tail_start,
-                "tail_min": verdict.tail_min,
-                "tolerance": verdict.tolerance,
-                "values": list(verdict.values),
-                "labels": list(seq.labels),
-            })
-        if svg_path:
-            Path(svg_path).write_text(
-                svg_line_chart({verdict.quantity: verdict.values},
-                               title=f"{verdict.quantity} by index"),
-                encoding="utf-8",
-            )
-        click.echo(
-            f"{verdict.quantity}: stabilized={str(verdict.stabilized).lower()} "
-            f"limit_estimate={verdict.limit_estimate:.17g} "
-            f"tail_start={verdict.tail_start}"
+            verdict = sequence_wasserstein(seq, mu_family, nu_family, p, tol)
+    if csv_path:
+        write_csv(
+            csv_path,
+            ["index", "label", "value"],
+            [(i, seq.labels[i], v) for i, v in enumerate(verdict.values)],
         )
-
-    _run(go)
+    summary_target = summary_path
+    if summary_target is None and csv_path:
+        summary_target = str(Path(csv_path).with_suffix(".summary.json"))
+    if summary_target:
+        write_json(summary_target, {
+            "quantity": verdict.quantity,
+            "stabilized": verdict.stabilized,
+            "limit_estimate": verdict.limit_estimate,
+            "tail_start": verdict.tail_start,
+            "tail_min": verdict.tail_min,
+            "tolerance": verdict.tolerance,
+            "values": list(verdict.values),
+            "labels": list(seq.labels),
+        })
+    if svg_path:
+        Path(svg_path).write_text(
+            svg_line_chart({verdict.quantity: verdict.values},
+                           title=f"{verdict.quantity} by index"),
+            encoding="utf-8",
+        )
+    click.echo(
+        f"{verdict.quantity}: stabilized={str(verdict.stabilized).lower()} "
+        f"limit_estimate={verdict.limit_estimate:.17g} "
+        f"tail_start={verdict.tail_start}"
+    )
 
 
 @main.command()
@@ -353,27 +340,24 @@ def counterexample(n_list, csv_path, svg_path):
     if not n_values:
         raise click.UsageError("--n must name at least one value")
 
-    def go():
-        mu_family, nu_family = escaping_mass_family(n_values)
-        w2 = [wasserstein_p(m, n, 2)[0] for m, n in zip(mu_family, nu_family)]
-        tv = [total_variation(m, n) for m, n in zip(mu_family, nu_family)]
-        if csv_path:
-            write_csv(
-                csv_path,
-                ["index", "label", "w2", "tv"],
-                [(i, str(n_values[i]), w2[i], tv[i]) for i in range(len(n_values))],
-            )
-        if svg_path:
-            Path(svg_path).write_text(
-                svg_line_chart({"w2": w2, "tv": tv}, title="escaping mass"),
-                encoding="utf-8",
-            )
-        click.echo(
-            f"counterexample: w2 in [{min(w2):.17g}, {max(w2):.17g}], "
-            f"tv down to {min(tv):.17g} over {len(n_values)} values of N"
+    mu_family, nu_family = escaping_mass_family(n_values)
+    w2 = [wasserstein_p(m, n, 2)[0] for m, n in zip(mu_family, nu_family)]
+    tv = [total_variation(m, n) for m, n in zip(mu_family, nu_family)]
+    if csv_path:
+        write_csv(
+            csv_path,
+            ["index", "label", "w2", "tv"],
+            [(i, str(n_values[i]), w2[i], tv[i]) for i in range(len(n_values))],
         )
-
-    _run(go)
+    if svg_path:
+        Path(svg_path).write_text(
+            svg_line_chart({"w2": w2, "tv": tv}, title="escaping mass"),
+            encoding="utf-8",
+        )
+    click.echo(
+        f"counterexample: w2 in [{min(w2):.17g}, {max(w2):.17g}], "
+        f"tv down to {min(tv):.17g} over {len(n_values)} values of N"
+    )
 
 
 @main.command()
@@ -388,25 +372,22 @@ def quantize(mu_path, delta, p, out_path):
     _check_positive(delta, "--delta")
     _check_p(p)
 
-    def go():
-        mu = load_measure(mu_path)
-        result = uniform_quantization(mu, delta, p)
-        if out_path:
-            doc = measure_to_dict(result.cloud)
-            doc["quantization"] = {
-                "n_atoms": result.n_atoms,
-                "error": result.error,
-                "covering_budget": result.covering_budget,
-                "delta": delta,
-                "p": p,
-            }
-            write_json(out_path, doc)
-        click.echo(
-            f"N = {result.n_atoms} atoms, error = {result.error:.17g}, "
-            f"covering budget k(delta) = {result.covering_budget}"
-        )
-
-    _run(go)
+    mu = load_measure(mu_path)
+    result = uniform_quantization(mu, delta, p)
+    if out_path:
+        doc = measure_to_dict(result.cloud)
+        doc["quantization"] = {
+            "n_atoms": result.n_atoms,
+            "error": result.error,
+            "covering_budget": result.covering_budget,
+            "delta": delta,
+            "p": p,
+        }
+        write_json(out_path, doc)
+    click.echo(
+        f"N = {result.n_atoms} atoms, error = {result.error:.17g}, "
+        f"covering budget k(delta) = {result.covering_budget}"
+    )
 
 
 @main.command()
@@ -415,13 +396,10 @@ def validate(space_path):
     """Check the metric axioms of a space file."""
     _require(space_path, "--space")
 
-    def go():
-        space = load_space(space_path)
-        click.echo(
-            f"metric OK (n={space.n_points}, diam={diameter(space):.17g})"
-        )
-
-    _run(go)
+    space = load_space(space_path)
+    click.echo(
+        f"metric OK (n={space.n_points}, diam={diameter(space):.17g})"
+    )
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Relative entropy and midpoint-convexity curvature checks.
 
 The central quantity is H(nu | lam) = sum lam_j * phi(f_j) with
-f = dnu/dlam and phi(x) = x*log(x) - x + 1. For probability pairs this
-equals the plain sum of f*log(f) terms exactly, and since phi >= 0
-pointwise, nonnegativity of the entropy is automatic rather than a
-cancellation accident. A K-convexity check at the midpoint, an estimator
-for the largest witnessed K, a discrete descending slope, a log-Sobolev
-check, and a sup-norm bound on interpolant densities complete the module.
+f = dnu/dlam and phi(x) = x*log(x) - x + 1. Every measure is a
+probability measure, so this is the plain sum of f*log(f) terms; the
+phi form is used because phi >= 0 pointwise, which makes nonnegativity
+of the entropy automatic rather than a cancellation accident. A
+K-convexity check at the midpoint, an estimator for the largest
+witnessed K, a discrete descending slope, a log-Sobolev check, and a
+sup-norm bound on interpolant densities complete the module.
 """
 
 from __future__ import annotations
@@ -72,20 +73,15 @@ class CurvatureReport:
     skipped: int
 
 
-def relative_entropy(
-    nu: DiscreteMeasure, lam: DiscreteMeasure, convention: str = "phi"
-) -> float:
-    """H(nu | lam); +inf when nu puts mass where lam has none.
+def relative_entropy(nu: DiscreteMeasure, lam: DiscreteMeasure) -> float:
+    """H(nu | lam) = sum lam * (f log f - f + 1); +inf when nu puts mass
+    where lam has none.
 
-    convention "phi" sums lam * (f log f - f + 1), "plain" sums
-    lam * f log f. The two agree exactly for probability pairs; "phi"
-    is the internal default because its terms are individually
-    nonnegative.
+    Both measures are normalized, so this is the plain sum of
+    lam * f log f; each phi term is nonnegative, so the sum is too.
     """
     if not same_space(nu.space, lam.space):
         raise SpaceMismatch("entropy needs both measures on one space")
-    if convention not in ("phi", "plain"):
-        raise ValueError(f"unknown entropy convention {convention!r}")
     zero_ref = lam.weights <= 0
     if np.any(nu.weights[zero_ref] > 0):
         return math.inf
@@ -93,9 +89,7 @@ def relative_entropy(
     lw = lam.weights[sup]
     f = nu.weights[sup] / lw
     xlogx = np.where(f > 0, f * np.log(np.where(f > 0, f, 1.0)), 0.0)
-    if convention == "phi":
-        return float(lw @ (xlogx - f + 1.0))
-    return float(lw @ xlogx)
+    return float(lw @ (xlogx - f + 1.0))
 
 
 def _midpoint_candidates(coupling):

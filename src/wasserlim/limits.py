@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._util import ordered_map
-from .curvature import ENTROPY_TOL, estimate_k
+from .curvature import estimate_k
 from .errors import FamilyLengthMismatch, SpaceMismatch
 from .measures import (
     DiscreteMeasure,
@@ -221,7 +221,6 @@ def sequence_cd(
     n_pairs: int,
     seed: int,
     tol: float,
-    tolerance: float = ENTROPY_TOL,
 ) -> StabilizationVerdict:
     """k_witnessed along the sequence, with matched pair seeds.
 
@@ -230,10 +229,7 @@ def sequence_cd(
     entries then reflect the spaces, not the sampling. ``tail_min`` of
     the verdict is the conservative tail reading of the witnessed K.
     """
-    values = [
-        estimate_k(lam, n_pairs, seed, tolerance).k_witnessed
-        for _, lam in seq.entries
-    ]
+    values = [estimate_k(lam, n_pairs, seed).k_witnessed for _, lam in seq.entries]
     return tail_verdict("k_witnessed", values, tol)
 
 

@@ -142,21 +142,17 @@ def measure_from_dict(
     return DiscreteMeasure(space, weights)
 
 
-def density_to_dict(density: Density, reference_ref: str | None = None) -> dict:
-    ref: Any = (
-        reference_ref if reference_ref is not None else measure_to_dict(density.base)
-    )
-    return {"reference": ref, "values": [float(v) for v in density.values]}
+def density_to_dict(density: Density) -> dict:
+    return {
+        "reference": measure_to_dict(density.base),
+        "values": [float(v) for v in density.values],
+    }
 
 
-def density_from_dict(data: dict, relative_to: Path | None = None) -> Density:
+def density_from_dict(data: dict) -> Density:
     if not isinstance(data, dict) or "reference" not in data or "values" not in data:
         raise ValueError("density document needs 'reference' and 'values'")
-    ref = data["reference"]
-    if isinstance(ref, str):
-        base = load_measure(_file_path(ref, relative_to))
-    else:
-        base = measure_from_dict(ref, relative_to)
+    base = measure_from_dict(data["reference"])
     values = np.asarray(data["values"], dtype=float)
     return Density.create(base, values)
 
@@ -183,10 +179,6 @@ def load_measure(path, space_files: dict | None = None) -> DiscreteMeasure:
     return measure_from_dict(_load_document(path), Path(path).parent, space_files)
 
 
-def load_density(path) -> Density:
-    return density_from_dict(_load_document(path), Path(path).parent)
-
-
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     """Plain comma-joined CSV; floats formatted like the JSON writer."""
     def cell(v: Any) -> str:
@@ -201,20 +193,15 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Non
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def svg_line_chart(
-    series: dict[str, Sequence[float]],
-    title: str = "",
-    width: int = 640,
-    height: int = 400,
-) -> str:
-    """Minimal line chart: axes, one polyline per series, a legend.
+def svg_line_chart(series: dict[str, Sequence[float]], title: str = "") -> str:
+    """Minimal 640x400 line chart: axes, one polyline per series, a legend.
 
     Coordinates are fixed to two decimals so output bytes do not depend
     on platform float printing quirks.
     """
     if not series or any(len(v) == 0 for v in series.values()):
         raise ValueError("every series needs at least one value")
-    margin = 50.0
+    width, height, margin = 640, 400, 50.0
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
     all_vals = [float(v) for vals in series.values() for v in vals]

@@ -109,9 +109,6 @@ class FiniteMetricSpace:
     def d(self, i: int, j: int) -> float:
         return float(self._dist[i, j])
 
-    def name_of(self, i: int):
-        return self._names[i] if self._names is not None else i
-
     def __repr__(self) -> str:
         kind = "geodesic" if self._edges is not None else "metric"
         return (

@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     NotUniformCloud,
@@ -251,6 +250,10 @@ def assignment_wasserstein(
     atoms_a = np.repeat(cloud_a.support, counts_a * (common // na))
     atoms_b = np.repeat(cloud_b.support, counts_b * (common // nb))
     cost = space.dist[np.ix_(atoms_a, atoms_b)] ** p
+    # Imported here: scipy.optimize is slow to import, and nothing else
+    # (the CLI included) needs it.
+    from scipy.optimize import linear_sum_assignment
+
     ridx, sigma = linear_sum_assignment(cost)
     cost_pow = float(cost[ridx, sigma].sum()) / common
     value = cost_pow ** (1.0 / p)

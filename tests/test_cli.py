@@ -6,11 +6,15 @@ precedence, byte-stable artifacts, --help coverage.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import wasserlim
 from wasserlim import serialization
 from wasserlim.cli import main
 from wasserlim.serialization import space_to_dict
@@ -179,6 +183,26 @@ class TestExitCodes:
         payload = json.loads(result.output)
         assert payload["error"] == "FileNotFoundError"
         assert "message" in payload
+
+    @pytest.mark.parametrize("args", [
+        ("transport", "--mu", "absent.json", "--nu", "absent.json"),
+        ("geodesic", "--mu0", "absent.json", "--mu1", "absent.json"),
+        ("cd", "--lambda", "absent.json"),
+        ("sequence", "--dir", "empty"),
+        ("counterexample", "--n", "0"),
+        ("quantize", "--mu", "absent.json", "--delta", "0.5"),
+        ("validate", "--space", "absent.json"),
+    ], ids=lambda args: args[0])
+    def test_every_subcommand_reports_domain_errors_as_json(
+        self, runner, tmp_path, monkeypatch, args
+    ):
+        """A command outside the error boundary would raise a traceback."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty").mkdir()
+        result = runner.invoke(main, list(args))
+        assert result.exit_code == 1
+        payload = json.loads(result.stdout)
+        assert set(payload) == {"error", "message"}
 
 
 class TestValidate:
@@ -778,6 +802,18 @@ class TestConfigMatchesFlags:
 
 def test_cli_digest_is_unchanged():
     assert cli_digest() == CLI_DIGEST
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """Every shell call imports the CLI, and scipy.optimize is slow to
+    import and needed only by the assignment route."""
+    package_root = Path(wasserlim.__file__).parents[1]
+    probe = "import sys, wasserlim.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert result.stdout == "False\n"
 
 
 class TestDeterminism:

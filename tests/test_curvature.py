@@ -85,18 +85,16 @@ class TestRelativeEntropy:
             assert relative_entropy(mix, lam) <= bound + 1e-12
 
     def test_conventions_agree_on_probability_pairs(self):
+        """The phi form equals the plain sum of lam * f log f."""
         rng = seeded(42)
         space = euclidean_space(rng, 6)
         lam = DiscreteMeasure.uniform(space)
         nu = random_measure(rng, space, atoms=6)
-        phi = relative_entropy(nu, lam, convention="phi")
-        plain = relative_entropy(nu, lam, convention="plain")
-        assert phi == pytest.approx(plain, abs=1e-12)
-
-    def test_unknown_convention(self, path3):
-        lam = DiscreteMeasure.uniform(path3)
-        with pytest.raises(ValueError):
-            relative_entropy(lam, lam, convention="shannon")
+        plain = sum(
+            ref * (mass / ref) * math.log(mass / ref)
+            for mass, ref in zip(nu.weights, lam.weights) if mass > 0
+        )
+        assert relative_entropy(nu, lam) == pytest.approx(plain, abs=1e-12)
 
     def test_space_mismatch(self, path3, path5):
         with pytest.raises(SpaceMismatch):

@@ -358,6 +358,13 @@ def interpolation_digest() -> str:
     return h.hexdigest()
 
 
+INTERPOLATION_DIGEST = "e22f0bd6fe58780145b6e047def12e3e68d71d21a270de70c9d02c928610be90"
+
+
+def test_interpolation_digest_is_unchanged():
+    assert interpolation_digest() == INTERPOLATION_DIGEST
+
+
 class TestInterpolationAgainstReference:
     """The one-pass kernel places every pair as the per-pair walk did."""
 

@@ -46,7 +46,7 @@ class TestDiscreteMeasure:
         assert DiscreteMeasure.uniform(path5).weights.tolist() == [0.2] * 5
 
     @given(st.integers(min_value=0, max_value=5_000))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     def test_weights_always_sum_to_one(self, seed):
         rng = seeded(10, seed)
         space = euclidean_space(rng, int(rng.integers(2, 10)))

@@ -80,7 +80,7 @@ class TestValidateMetric:
             validate_metric(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=12))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     def test_euclidean_embeddings_always_validate(self, seed, n):
         rng = seeded(1, seed)
         space = euclidean_space(rng, n)

@@ -621,6 +621,13 @@ def corpus_digest() -> str:
     return h.hexdigest()
 
 
+CORPUS_DIGEST = "d30aed9e9cce0bda6c206f8d52add7385feca87c4e98521b1a9707612297db0a"
+
+
+def test_corpus_digest_is_unchanged():
+    assert corpus_digest() == CORPUS_DIGEST
+
+
 class TestSimplexAgainstReference:
     def test_seeded_corpus(self):
         pivots = [assert_simplex_matches_reference(*simplex_inputs(mu, nu, p))

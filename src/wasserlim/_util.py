@@ -1,4 +1,4 @@
-"""Internal helpers: seeded RNG streams, ordered mapping, weight vectors."""
+"""Internal helpers: seeded RNG streams, ordered mapping, argument checks."""
 
 from __future__ import annotations
 
@@ -31,6 +31,12 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     benchmark's per-layer trace counts its calls (``util.ordered_map``).
     """
     return [fn(x) for x in items]
+
+
+def check_p(p: float) -> None:
+    """Refuse a cost exponent outside [1, inf); NaN fails the comparison."""
+    if not (p >= 1 and np.isfinite(p)):
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
 
 
 def as_weight_vector(values: Iterable[float], n: int, what: str) -> np.ndarray:

@@ -9,6 +9,7 @@ runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -119,6 +120,8 @@ def _check_positive(value: float, flag: str) -> None:
 def _check_p(p: float) -> None:
     if not (p >= 1):
         raise click.UsageError(f"--p must be >= 1, got {p}")
+    if math.isinf(p):
+        raise click.UsageError(f"--p must be finite, got {p}")
 
 
 @main.command()

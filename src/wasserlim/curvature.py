@@ -256,7 +256,7 @@ def log_sobolev_check(
     per instance: the discrete slope can make the inequality fail on
     coarse spaces, and such a failure is information, not a bug.
     """
-    if k <= 0:
+    if not (k > 0):
         raise NonpositiveK(f"log-Sobolev constant must be positive, got {k}")
     lhs = relative_entropy(nu, lam)
     f = np.zeros(nu.space.n_points)

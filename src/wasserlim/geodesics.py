@@ -86,7 +86,8 @@ def _place_pairs(
     d(x, z) nearest t*d(x, y), ties toward x; x == y gives (x, 0). All
     paths are walked in lockstep from y back to x through the space's
     predecessor matrix, and a vertex replaces the best one so far when its
-    defect is no larger, so the vertex nearest x wins ties.
+    defect is no larger, so the vertex nearest x wins ties. The space's
+    graph is connected, so every walk reaches x.
     """
     dist = space.dist
     pred = space._path_matrices()[1]
@@ -97,15 +98,8 @@ def _place_pairs(
     target = t * dist[x, z]
     best = np.abs(dist[x, z] - target)
     at = z.copy()
-    lost = []
     while walk.size:
         z = pred[x, z]
-        gone = z < 0
-        if gone.any():
-            lost.extend(walk[gone].tolist())
-            keep = ~gone
-            walk, x, z, target, best, at = (
-                a[keep] for a in (walk, x, z, target, best, at))
         defect = np.abs(dist[x, z] - target)
         closer = defect <= best
         best = np.where(closer, defect, best)
@@ -117,9 +111,6 @@ def _place_pairs(
             keep = ~done
             walk, x, z, target, best, at = (
                 a[keep] for a in (walk, x, z, target, best, at))
-    if lost:
-        k = min(lost)
-        raise ValueError(f"no path from {int(xs[k])} to {int(ys[k])}")
     return points, defects
 
 
@@ -151,9 +142,7 @@ def interpolate_coupling(
     added up in row-major cell order. Returns the interpolated measure and
     the largest vertex-rounding defect over all moved pairs.
     """
-    if not same_space(coupling.row_space, coupling.col_space):
-        raise SpaceMismatch("coupling must join measures on one space")
-    space = coupling.row_space
+    space = coupling.space
     _require_geodesic(space)
     _check_time(t)
     # Row-major like np.nonzero, which is several times slower in 2-D.

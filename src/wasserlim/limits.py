@@ -77,7 +77,7 @@ def tail_verdict(
     quantity: str, values: Sequence[float], tol: float
 ) -> StabilizationVerdict:
     """Apply the last-half-within-tolerance-of-median rule."""
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tolerance must be positive")
     vals = tuple(float(v) for v in values)
     if not vals:
@@ -268,7 +268,7 @@ def quantization_uniformity_audit(
     verifies that the single worst-case atom count works for the whole
     family, which is the finite content of a uniform N(delta).
     """
-    if delta <= 0:
+    if not (delta > 0):
         raise ValueError("delta must be positive")
     results: list[QuantizationResult] = list(
         ordered_map(

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._util import as_weight_vector, make_rng
+from ._util import as_weight_vector, check_p, make_rng
 from .errors import (
     EmptyTruncation,
     QuantizationBudgetExceeded,
@@ -115,8 +115,7 @@ class Density:
 
 def pth_moment(mu: DiscreteMeasure, p: float) -> float:
     """Sum of w_j d(e, x_j)^p about the space's base point."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_p(p)
     d = mu.space.dist[mu.space.base_point]
     return float(mu.weights @ d**p)
 
@@ -144,7 +143,7 @@ def truncate_density(f: Density, m: float, mask: Sequence[int]) -> Density:
     The result is unnormalized; its mass is reported on the Density. The
     mask must lie inside the reference support.
     """
-    if m <= 0:
+    if not (m > 0):
         raise ValueError("truncation height must be positive")
     lam = f.base
     mask_idx = sorted(set(int(i) for i in mask))
@@ -207,8 +206,9 @@ def uniform_quantization(mu: DiscreteMeasure, delta: float, p: float) -> Quantiz
     is reported alongside as the theoretical budget; the doubling search is
     what actually chooses N.
     """
-    if delta <= 0:
+    if not (delta > 0):
         raise ValueError("delta must be positive")
+    check_p(p)
     budget = covering_number(mu.space, delta).k
     positive = mu.weights[mu.support]
     if np.ptp(positive) == 0.0:

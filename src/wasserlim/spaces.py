@@ -1,8 +1,8 @@
 """Finite pointed metric spaces.
 
 Points are dense integer ids 0..n-1; external names ride along as metadata.
-A space may carry the weighted edge list it was induced from, in which case
-shortest-path trees are available for geodesic interpolation.
+A space built by ``graph_metric`` carries the weighted edge list it was
+induced from, with its shortest-path trees, for geodesic interpolation.
 """
 
 from __future__ import annotations
@@ -36,20 +36,16 @@ Edge = tuple[int, int, float]
 class FiniteMetricSpace:
     """A finite metric space with a distinguished base point.
 
-    The distances, base point, names and edge list are fixed at
-    construction. A space with an edge list keeps one all-pairs
-    predecessor matrix of that graph, computed on first use (or by
-    ``graph_metric``) and cached on the instance; geodesic interpolation
-    walks every coupled pair through it at once.
-
     Construction copies the matrix it is given, so the caller's array
     stays writable and later changes to it do not reach the space, and
     checks the metric axioms on the copy at METRIC_TOL times the
-    diameter. The one exception is ``graph_metric``, whose shortest-path
-    matrices are metrics by construction (its docstring gives the
-    rounding bound): it hands over its own fresh matrices through the
-    private ``_paths`` argument, which skips the copy and the O(n^3)
-    triangle check. Either way a held instance is a valid space.
+    diameter. Only ``graph_metric`` builds a space with geodesic
+    structure: through the private ``_graph`` argument it hands over its
+    edge list with the all-pairs shortest-path distances and predecessors
+    solved from it, so the three always agree. Those matrices are metrics
+    by construction (its docstring gives the rounding bound), so that path
+    skips the copy and the O(n^3) triangle check. Either way a held
+    instance is a valid space.
     """
 
     def __init__(
@@ -57,11 +53,10 @@ class FiniteMetricSpace:
         dist: np.ndarray,
         base_point: int = 0,
         names: Optional[Sequence] = None,
-        geodesic_structure: Optional[Sequence[Edge]] = None,
         *,
-        _paths: Optional[tuple[np.ndarray, np.ndarray]] = None,
+        _graph: Optional[tuple[tuple[Edge, ...], np.ndarray, np.ndarray]] = None,
     ):
-        if _paths is None:
+        if _graph is None:
             dist = np.array(dist, dtype=np.float64)
             _check_metric(dist)
         n = dist.shape[0]
@@ -73,13 +68,8 @@ class FiniteMetricSpace:
         self._dist.setflags(write=False)
         self._base = int(base_point)
         self._names = list(names) if names is not None else None
-        self._edges = (
-            tuple((int(u), int(v), float(w)) for u, v, w in geodesic_structure)
-            if geodesic_structure is not None
-            else None
-        )
-        # The all-pairs (distances, predecessors) matrices of the edge graph.
-        self._paths = _paths
+        # (edges, all-pairs distances, predecessors) of the inducing graph.
+        self._graph = _graph
 
     @property
     def n_points(self) -> int:
@@ -104,13 +94,13 @@ class FiniteMetricSpace:
 
     @property
     def geodesic_structure(self) -> Optional[tuple[Edge, ...]]:
-        return self._edges
+        return self._graph[0] if self._graph is not None else None
 
     def d(self, i: int, j: int) -> float:
         return float(self._dist[i, j])
 
     def __repr__(self) -> str:
-        kind = "geodesic" if self._edges is not None else "metric"
+        kind = "geodesic" if self._graph is not None else "metric"
         return (
             f"FiniteMetricSpace(n={self.n_points}, base={self._base}, "
             f"{kind}, diam={diameter(self):g})"
@@ -121,38 +111,30 @@ class FiniteMetricSpace:
 
         Predecessor ties at equal distance resolve to the lowest vertex
         index, so reconstructed paths are the lexicographically smallest
-        shortest paths and identical across runs. The rows returned are
+        shortest paths and identical across runs. Every predecessor chain
+        ends at ``source``, whose entry is -1. The rows returned are
         read-only views of the space's predecessor matrix.
         """
         dist, pred = self._path_matrices()
         return dist[source], pred[source]
 
     def _path_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """All-pairs (distances, predecessors) of the edge graph, solved in
-        one pass the first time any path of the space is asked for."""
-        if self._edges is None:
+        """All-pairs (distances, predecessors) of the edge graph."""
+        if self._graph is None:
             raise ValueError("space has no geodesic structure")
-        if self._paths is None:
-            self._paths = _shortest_paths(self.n_points, self._edges)
-        return self._paths
+        return self._graph[1], self._graph[2]
 
     def shortest_path(self, x: int, y: int) -> list[int]:
         """Vertex sequence of the canonical shortest x-y path."""
         _, pred = self.shortest_path_tree(x)
         path = [y]
         while path[-1] != x:
-            p = int(pred[path[-1]])
-            if p < 0:
-                raise ValueError(f"no path from {x} to {y}")
-            path.append(p)
-        path.reverse()
-        return path
+            path.append(int(pred[path[-1]]))
+        return path[::-1]
 
     def mesh(self) -> float:
         """Largest edge weight; the resolution limit for interpolation."""
-        if self._edges is None or not self._edges:
-            return 0.0
-        return max(w for _, _, w in self._edges)
+        return max((w for _, _, w in self.geodesic_structure or ()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -254,7 +236,7 @@ def covering_number(
     the standard greedy 2-approximation. ``exact=True`` (allowed below 20
     points) minimizes k by brute force instead.
     """
-    if epsilon <= 0:
+    if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
     n = space.n_points
     dist = space.dist
@@ -284,8 +266,9 @@ def graph_metric(
     """Shortest-path metric of a connected weighted graph.
 
     ``vertices`` is either a point count or a sequence of names. Edges are
-    (u, v, w) with positive w; the graph is undirected. The edge list is
-    retained on the space so geodesic interpolation can walk actual paths.
+    (u, v, w) with finite positive w; the graph is undirected. This is the
+    only builder of spaces with an edge list, which geodesic interpolation
+    walks along the shortest paths solved here.
 
     The result is a metric by construction and is not re-checked with the
     O(n^3) triangle scan that ``validate_metric`` runs: distances are
@@ -315,16 +298,10 @@ def graph_metric(
         edges.append((u, v, w))
 
     dist, pred = _shortest_paths(n, edges)
-    unreachable = np.isinf(dist)
-    if unreachable.any():
-        s = int(np.argmax(unreachable.any(axis=1)))
-        missing = int(np.argmax(unreachable[s]))
-        raise Disconnected(f"vertex {missing} unreachable from {s}")
     # Symmetrize away float noise from summing the same weights in two
     # orders; the exactness claim is about the shortest-path values.
     return FiniteMetricSpace(np.minimum(dist, dist.T), base_point=base_point,
-                             names=names, geodesic_structure=edges,
-                             _paths=(dist, pred))
+                             names=names, _graph=(tuple(edges), dist, pred))
 
 
 def dyadic_interval_space(level: int) -> FiniteMetricSpace:
@@ -343,11 +320,12 @@ def dyadic_interval_space(level: int) -> FiniteMetricSpace:
 
 
 def _shortest_paths(n: int, edges: Sequence[Edge]) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs distances and lowest-index predecessors of an edge graph.
+    """All-pairs distances and lowest-index predecessors of a connected
+    edge graph; raises Disconnected otherwise.
 
     ``pred[s, v]`` is the smallest neighbour u of v with
-    d(s, u) + w(u, v) == d(s, v); it is -1 at the source and at vertices
-    unreachable from it. Both arrays are read-only.
+    d(s, u) + w(u, v) == d(s, v); it is -1 at the source. Both arrays are
+    read-only.
     """
     u = np.array([e[0] for e in edges], dtype=np.intp)
     v = np.array([e[1] for e in edges], dtype=np.intp)
@@ -363,17 +341,20 @@ def _shortest_paths(n: int, edges: Sequence[Edge]) -> tuple[np.ndarray, np.ndarr
     cols, wts = cols[first], wts[first]
     indptr = np.searchsorted(rows[first], np.arange(n + 1))
     dist = dijkstra(csr_matrix((wts, cols, indptr), shape=(n, n)))
+    unreachable = np.isinf(dist)
+    if unreachable.any():
+        s = int(np.argmax(unreachable.any(axis=1)))
+        missing = int(np.argmax(unreachable[s]))
+        raise Disconnected(f"vertex {missing} unreachable from {s}")
     pred = np.full((n, n), -1, dtype=np.int64)
     for x in range(n):
         lo, hi = indptr[x], indptr[x + 1]
         if lo == hi:
-            continue  # isolated vertex: argmax over an empty axis raises
-        to_x = dist[:, x:x + 1]
-        # inf + w == inf, so unreachable targets must be ruled out.
-        tight = (dist[:, cols[lo:hi]] + wts[lo:hi] == to_x) & np.isfinite(to_x)
-        found = tight.any(axis=1)
-        pred[found, x] = cols[lo:hi][np.argmax(tight, axis=1)[found]]
-    # The source has no predecessor, even across a zero-weight edge.
+            continue  # a lone vertex: argmax over an empty axis raises
+        tight = dist[:, cols[lo:hi]] + wts[lo:hi] == dist[:, x:x + 1]
+        pred[:, x] = cols[lo:hi][np.argmax(tight, axis=1)]
+    # Dijkstra sets each d(s, v) to some fl(d(s, u) + w(u, v)), so v has a
+    # tight neighbour unless v is the source, which has no predecessor.
     np.fill_diagonal(pred, -1)
     dist.setflags(write=False)
     pred.setflags(write=False)

@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
+from ._util import check_p
 from .errors import (
     NotUniformCloud,
     SizeMismatch,
@@ -69,14 +70,17 @@ class _SolverState:
 
 @dataclass(frozen=True)
 class Coupling:
-    """A transport plan between two measures, with its p-cost."""
+    """A transport plan between two measures on one space, with its p-cost.
 
-    row_space: FiniteMetricSpace
-    col_space: FiniteMetricSpace
+    Only the solver builds couplings; ``_state`` is the simplex state the
+    plan was read from, which the optimum diagnostics inspect.
+    """
+
+    space: FiniteMetricSpace
     matrix: np.ndarray
     cost_p: float
     p: float
-    _state: Optional[_SolverState] = field(default=None, repr=False, compare=False)
+    _state: _SolverState = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -118,8 +122,7 @@ def wasserstein_p(
     every rounding.
     """
     space = _shared_space(mu, nu)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_p(p)
     flipped = nu.weights.tobytes() < mu.weights.tobytes()
     src, dst = (nu, mu) if flipped else (mu, nu)
     rows = src.support
@@ -140,31 +143,28 @@ def wasserstein_p(
     state = _SolverState(rows, cols,
                          *_network_simplex(src.weights[rows], dst.weights[cols], cost_int),
                          flipped)
-    return _coupling_from_state(state, mu.space, nu.space, p)
+    return _coupling_from_state(state, space, p)
 
 
 def _coupling_from_state(
-    state: _SolverState,
-    row_space: FiniteMetricSpace,
-    col_space: FiniteMetricSpace,
-    p: float,
+    state: _SolverState, space: FiniteMetricSpace, p: float
 ) -> tuple[float, Coupling]:
     """The presented coupling of a solver state, and its W_p value.
 
     Flows are summed sequentially in arc order (``cumsum``, not the
     pairwise ``sum``), so a plan and its transpose share every rounding.
     The sum starts from 0.0, which turns an all -0.0 sum into 0.0. Cell
-    (i, j) costs ``row_space.dist[rows[i], cols[j]] ** p`` in either
-    orientation, as both spaces hold the same distances.
+    (i, j) costs ``space.dist[rows[i], cols[j]] ** p``, in the orientation
+    that was solved.
     """
     i, j = _basic_cells(state.parent, len(state.rows))
     order = np.argsort(i * len(state.cols) + j)
     x, y, f = state.rows[i[order]], state.cols[j[order]], state.flow[1:][order]
-    cost_pow = 0.0 + np.cumsum(f * row_space.dist[x, y] ** p)[-1]
-    gamma = np.zeros((row_space.n_points, col_space.n_points))
+    cost_pow = 0.0 + np.cumsum(f * space.dist[x, y] ** p)[-1]
+    gamma = np.zeros((space.n_points, space.n_points))
     gamma[(y, x) if state.flipped else (x, y)] = f
     value = cost_pow ** (1.0 / p)
-    return value, Coupling(row_space, col_space, gamma, value, p, state)
+    return value, Coupling(space, gamma, value, p, state)
 
 
 def _basic_cells(parent: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +187,7 @@ def has_alternate_optimum(coupling: Coupling) -> bool:
     st = coupling._state
     # Each of the m + n - 1 basic arcs has reduced cost zero; any further
     # zero is a nonbasic one.
-    return st is not None and int(np.count_nonzero(st.reduced == 0)) >= len(st.parent)
+    return int(np.count_nonzero(st.reduced == 0)) >= len(st.parent)
 
 
 def alternate_optimal_couplings(coupling: Coupling, limit: int = 8) -> list[Coupling]:
@@ -219,8 +219,7 @@ def alternate_optimal_couplings(coupling: Coupling, limit: int = 8) -> list[Coup
         state = _SolverState(st.rows, st.cols, np.array(parent),
                              np.array(depth), np.array(flow), st.u, st.v,
                              st.reduced, st.flipped)
-        out.append(_coupling_from_state(state, coupling.row_space,
-                                        coupling.col_space, coupling.p)[1])
+        out.append(_coupling_from_state(state, coupling.space, coupling.p)[1])
         if len(out) >= limit:
             break
     return out
@@ -237,8 +236,7 @@ def assignment_wasserstein(
     matches ``wasserstein_p`` on the same inputs to 1e-9.
     """
     space = _shared_space(cloud_a, cloud_b)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_p(p)
     na, counts_a = _uniform_size(cloud_a)
     nb, counts_b = _uniform_size(cloud_b)
     common = na * nb // math.gcd(na, nb)
@@ -298,8 +296,7 @@ def brute_force_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) 
     cell bound keeps it honest.
     """
     space = _shared_space(mu, nu)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_p(p)
     rows = mu.support
     cols = nu.support
     m, n = len(rows), len(cols)
@@ -380,8 +377,7 @@ def nearest_atom_projection(
     asserted in the tests via the solver.
     """
     space = _shared_space(mu, cloud)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    check_p(p)
     atoms = cloud.support
     sources = mu.support
     d_pow = space.dist[np.ix_(sources, atoms)] ** p

@@ -278,6 +278,20 @@ class TestTransport:
         assert result.exit_code == 2
         assert "--p" in result.stderr
 
+    @pytest.mark.parametrize("p, message", [
+        ("inf", "--p must be finite, got inf"),
+        ("nan", "--p must be >= 1, got nan"),
+    ])
+    def test_p_not_finite_is_a_usage_error(self, runner, path3_files, p, message):
+        # d**inf is 0 or inf, so the solver has no W_inf to give.
+        _, mu, nu = path3_files
+        result = runner.invoke(
+            main, ["transport", "--mu", str(mu), "--nu", str(nu), "--p", p]
+        )
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert result.stdout == ""
+
 
 class TestSharedSpaceFile:
     """One transport, geodesic or sequence call parses a space file that

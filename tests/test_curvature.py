@@ -21,7 +21,6 @@ from wasserlim import (
 )
 from wasserlim import curvature
 from wasserlim.curvature import random_density_pair
-from wasserlim.spaces import FiniteMetricSpace
 from wasserlim.errors import (
     AbsoluteContinuityFailure,
     InfiniteEntropy,
@@ -287,8 +286,8 @@ def reference_fisher_rhs(nu, lam, k):
 
 
 def slope_spaces():
-    """Graph metrics, a direct edge list with self-loops and parallel
-    edges, and bare metric matrices."""
+    """Graph metrics, whose edge lists keep parallel edges, and bare metric
+    matrices."""
     rng = seeded(48)
     out = [dyadic_interval_space(3)]
     for _ in range(6):
@@ -297,9 +296,6 @@ def slope_spaces():
         edges += [(int(a), int(b), float(rng.integers(1, 4)))
                   for a, b in rng.integers(0, n, size=(n, 2))]
         out.append(graph_metric(n, edges))
-        direct = out[-1].geodesic_structure + tuple(
-            (int(a), int(a), 1.0) for a in rng.integers(0, n, 2)) + tuple(edges[:2])
-        out.append(FiniteMetricSpace(out[-1].dist, geodesic_structure=direct))
         out.append(euclidean_space(rng, n))
     return out, rng
 
@@ -363,6 +359,13 @@ class TestLogSobolev:
         lam = DiscreteMeasure.uniform(path3)
         with pytest.raises(NonpositiveK):
             log_sobolev_check(lam, lam, 0.0)
+
+    @pytest.mark.parametrize("k", [-1.0, math.nan])
+    def test_k_must_be_positive(self, path3, k):
+        # NaN passes a `k <= 0` guard.
+        lam = DiscreteMeasure.uniform(path3)
+        with pytest.raises(NonpositiveK):
+            log_sobolev_check(DiscreteMeasure.dirac(path3, 0), lam, k)
 
 
 class TestRajalaBound:

@@ -88,6 +88,12 @@ class TestTailVerdict:
         with pytest.raises(ValueError):
             tail_verdict("q", [], tol=0.1)
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        # NaN passes a `tol <= 0` guard.
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            tail_verdict("q", [1.0, 1.0], tol=tol)
+
 
 class TestSequenceWasserstein:
     def test_constant_instance(self, path5):
@@ -228,6 +234,13 @@ class TestQuantizationAudit:
         seq = SpaceSequence(((path3, DiscreteMeasure.uniform(path3)),))
         with pytest.raises(ValueError):
             quantization_uniformity_audit(seq, delta=0.0, p=2.0)
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan])
+    def test_delta_must_be_positive(self, path3, delta):
+        lam = DiscreteMeasure(path3, np.array([0.5, 0.25, 0.25]))
+        seq = SpaceSequence(((path3, lam),))
+        with pytest.raises(ValueError, match="delta must be positive"):
+            quantization_uniformity_audit(seq, delta=delta, p=2.0)
 
     def test_budget_failure_propagates(self):
         space = validate_metric(np.array([[0.0, 1.0], [1.0, 0.0]]))

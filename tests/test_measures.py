@@ -168,6 +168,13 @@ class TestDensity:
         assert np.array_equal(cut.values, f.values)
         assert cut.mass == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("m", [0.0, -1.0, np.nan])
+    def test_height_must_be_positive(self, two_point, m):
+        lam = DiscreteMeasure(two_point, np.array([0.5, 0.5]))
+        f = Density.create(lam, np.array([1.5, 0.5]))
+        with pytest.raises(ValueError, match="truncation height must be positive"):
+            truncate_density(f, m, {0, 1})
+
     def test_empty_mask_rejected(self, two_point):
         lam = DiscreteMeasure(two_point, np.array([0.5, 0.5]))
         f = Density.create(lam, np.array([1.0, 1.0]))
@@ -249,6 +256,20 @@ class TestQuantization:
         mu = DiscreteMeasure(space, np.array([1 / np.sqrt(2), 1 - 1 / np.sqrt(2)]))
         with pytest.raises(QuantizationBudgetExceeded):
             uniform_quantization(mu, delta=1e-12, p=1.0)
+
+    @pytest.mark.parametrize("p", [0.5, np.nan, np.inf])
+    def test_p_checked_on_uniform_input(self, path5, p):
+        # A uniform measure returns before any solve, so the solver's own
+        # check on p never runs.
+        with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+            uniform_quantization(DiscreteMeasure.uniform(path5), 0.1, p)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, np.nan])
+    def test_delta_must_be_positive(self, path5, delta):
+        # NaN passes a `delta <= 0` guard.
+        mu = DiscreteMeasure(path5, np.array([0.5, 0.25, 0.25, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="delta must be positive"):
+            uniform_quantization(mu, delta, p=2.0)
 
     def test_quantize_at_returns_cloud_and_error(self, two_point):
         mu = DiscreteMeasure(two_point, np.array([0.7, 0.3]))

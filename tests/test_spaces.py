@@ -110,9 +110,15 @@ class TestGraphMetric:
         with pytest.raises(Disconnected):
             graph_metric(3, [(0, 1, 1.0)])
 
-    def test_nonpositive_weight_rejected(self):
+    @pytest.mark.parametrize("w", [-1.0, 0.0, np.nan, np.inf])
+    def test_nonpositive_weight_rejected(self, w):
         with pytest.raises(NonpositiveWeight):
-            graph_metric(2, [(0, 1, 0.0)])
+            graph_metric(3, [(0, 1, 1.0), (1, 2, w)])
+
+    @pytest.mark.parametrize("edge", [(0, 7), (-1, 1), (2, 3)])
+    def test_out_of_range_vertex_rejected(self, edge):
+        with pytest.raises(ValueError, match="out of vertex range"):
+            graph_metric(3, [(0, 1, 1.0), (1, 2, 1.0), (*edge, 1.0)])
 
     def test_edges_upper_bound_distances(self):
         rng = seeded(2)
@@ -314,16 +320,29 @@ class TestShortestPathsAgainstReference:
         space = graph_metric(1, [])
         assert_trees_match_reference(space, [])
 
-    def test_disconnected_structure_has_no_predecessors_across(self):
-        edges = [(0, 1, 1.0), (2, 3, 2.0)]
-        d = np.array([[0, 1, 5, 7], [1, 0, 5, 7], [5, 5, 0, 2], [7, 7, 2, 0.0]])
-        space = FiniteMetricSpace(d, geodesic_structure=edges)
-        assert_trees_match_reference(space, edges)
-        dist, pred = space.shortest_path_tree(0)
-        assert np.isinf(dist[2:]).all()
-        assert pred.tolist() == [-1, 0, -1, -1]
-        with pytest.raises(ValueError):
-            space.shortest_path(0, 3)
+    @pytest.mark.parametrize("kind", ["integer", "tenths", "dyadic", "uniform"])
+    def test_every_predecessor_chain_reaches_its_source(self, kind):
+        # Path walks have no "no path" exit: they rely on graph_metric, the
+        # only builder of edge-carrying spaces, leaving no chain that stops
+        # short of its source or cycles, at any unit of the weights.
+        rng = seeded(9, len(kind))
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            extra = int(rng.integers(0, 3 * n + 1))
+            w = random_weights(rng, kind, n - 1 + extra) * 10.0 ** (9 * (trial % 3 - 1))
+            perm = rng.permutation(n)
+            edges = [(int(perm[j]), int(perm[j + 1]), float(w[j])) for j in range(n - 1)]
+            edges += [(int(a), int(b), float(x)) for a, b, x in
+                      zip(rng.integers(0, n, extra), rng.integers(0, n, extra), w[n - 1:])]
+            space = graph_metric(n, edges)
+            for s in space.points:
+                pred = space.shortest_path_tree(s)[1]
+                assert pred[s] == -1
+                assert (np.delete(pred, s) >= 0).all()
+                at = np.arange(n)
+                for _ in range(n - 1):
+                    at = np.where(at == s, s, pred[at])
+                assert (at == s).all()
 
 
 def scaled_tolerance(dist):
@@ -487,3 +506,9 @@ class TestCoveringNumber:
     def test_nonpositive_epsilon_rejected(self, path5):
         with pytest.raises(ValueError):
             covering_number(path5, 0.0)
+
+    @pytest.mark.parametrize("eps", [-1.0, np.nan])
+    def test_epsilon_must_be_positive(self, path5, eps):
+        # NaN passes an `epsilon <= 0` guard.
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            covering_number(path5, eps)

@@ -16,6 +16,7 @@ from wasserlim import (
     estimate_k,
     graph_metric,
     nearest_atom_projection,
+    pth_moment,
     total_variation,
     validate_metric,
     wasserstein_p,
@@ -62,6 +63,19 @@ class TestWassersteinP:
         mu = DiscreteMeasure.uniform(path3)
         with pytest.raises(ValueError):
             wasserstein_p(mu, mu, 0.5)
+
+    @pytest.mark.parametrize("p", [0.5, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("route", [
+        wasserstein_p, assignment_wasserstein, brute_force_wasserstein,
+        nearest_atom_projection, lambda mu, nu, p: pth_moment(mu, p),
+    ], ids=["simplex", "assignment", "brute_force", "projection", "moment"])
+    def test_p_outside_one_to_inf_rejected(self, route, p):
+        # d**inf is 0 or inf, so no route can give W_inf (1/2 here), and
+        # NaN compares false against every bound.
+        space = dyadic_interval_space(1)
+        mu, nu = DiscreteMeasure.dirac(space, 0), DiscreteMeasure.dirac(space, 1)
+        with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+            route(mu, nu, p)
 
     def test_space_mismatch(self, path3, path5):
         with pytest.raises(SpaceMismatch):
@@ -545,9 +559,9 @@ def reference_plan(coupling, flows):
     on the solved cells of ``coupling``: the sorted dict walk the solver
     used before its state became arrays."""
     st = coupling._state
-    cost_float = coupling.row_space.dist[np.ix_(st.rows, st.cols)] ** coupling.p
+    cost_float = coupling.space.dist[np.ix_(st.rows, st.cols)] ** coupling.p
     cost_pow = 0.0
-    gamma = np.zeros((coupling.row_space.n_points, coupling.col_space.n_points))
+    gamma = np.zeros((coupling.space.n_points, coupling.space.n_points))
     for (i, j), f in sorted(flows.items()):
         cost_pow += f * cost_float[i, j]
         gamma[st.rows[i], st.cols[j]] = f
@@ -577,7 +591,7 @@ def reference_alternates(coupling, limit):
     flows, basic = dict_state(st.parent, st.flow, m)
     parent, order = _reference_tree(basic, m, n)
     depth = _reference_depths(parent, order)
-    cost = coupling.row_space.dist[np.ix_(st.rows, st.cols)] ** coupling.p
+    cost = coupling.space.dist[np.ix_(st.rows, st.cols)] ** coupling.p
     cost_int = np.rint(cost * transport.SCALE).astype(np.int64)
     u, v = _reference_potentials(parent, order, cost_int)
     reduced = cost_int - u[:, None] - v[None, :]

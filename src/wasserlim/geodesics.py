@@ -126,6 +126,8 @@ def point_interpolate(
     """
     _require_geodesic(space)
     _check_time(t)
+    space._check_vertex(x)
+    space._check_vertex(y)
     if x == y:
         return InterpolationResult(x, 0.0)
     points, defects = _place_pairs(space, np.array([x]), np.array([y]), t)

@@ -116,7 +116,14 @@ class FiniteMetricSpace:
         read-only views of the space's predecessor matrix.
         """
         dist, pred = self._path_matrices()
+        self._check_vertex(source)
         return dist[source], pred[source]
+
+    def _check_vertex(self, x: int) -> None:
+        """Refuse an index that is no point, before numpy wraps it."""
+        if not 0 <= x < self.n_points:
+            raise ValueError(f"vertex {x} is not a point of this space "
+                             f"(n = {self.n_points})")
 
     def _path_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """All-pairs (distances, predecessors) of the edge graph."""
@@ -127,6 +134,7 @@ class FiniteMetricSpace:
     def shortest_path(self, x: int, y: int) -> list[int]:
         """Vertex sequence of the canonical shortest x-y path."""
         _, pred = self.shortest_path_tree(x)
+        self._check_vertex(y)
         path = [y]
         while path[-1] != x:
             path.append(int(pred[path[-1]]))

@@ -67,6 +67,16 @@ class TestPointInterpolate:
     def test_degenerate_pair(self, path5):
         assert point_interpolate(path5, 2, 2, 0.7) == (2, 0.0)
 
+    @pytest.mark.parametrize("bad", [-1, 3, np.int64(-1)], ids=["minus1", "n", "np_int64"])
+    def test_vertex_outside_the_space_refused(self, path3, bad):
+        message = f"vertex {bad} is not a point of this space \\(n = 3\\)"
+        for x, y in [(0, bad), (bad, 0), (bad, bad)]:
+            with pytest.raises(ValueError, match=message):
+                point_interpolate(path3, x, y, 0.5)
+
+    def test_numpy_integer_vertex_accepted(self, path3):
+        assert point_interpolate(path3, np.int64(0), np.int64(2), 0.5) == (1, 0.0)
+
     def test_out_of_range_t(self, path3):
         with pytest.raises(ValueError):
             point_interpolate(path3, 0, 2, 1.5)
@@ -347,7 +357,7 @@ def interpolation_digest() -> str:
     return h.hexdigest()
 
 
-INTERPOLATION_DIGEST = "6e2f8623826b62f5761d89d9d1b8e425dc38badce64a13ca0571477bf4df3c73"
+INTERPOLATION_DIGEST = "0a0100efd52b43294ff4bb4f035e5f245ea071c5ae60451ffe45035295f7b9d4"
 
 
 def test_interpolation_digest_is_unchanged():

@@ -138,6 +138,20 @@ class TestGraphMetric:
         space = graph_metric(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
         assert space.shortest_path(0, 3) == [0, 1, 3]
 
+    @pytest.mark.parametrize("bad", [-1, 3, np.int64(-1)], ids=["minus1", "n", "np_int64"])
+    def test_vertex_outside_the_space_refused(self, path3, bad):
+        # Without the check numpy wraps -1 round to vertex 2.
+        message = f"vertex {bad} is not a point of this space \\(n = 3\\)"
+        with pytest.raises(ValueError, match=message):
+            path3.shortest_path_tree(bad)
+        with pytest.raises(ValueError, match=message):
+            path3.shortest_path(0, bad)
+        with pytest.raises(ValueError, match=message):
+            path3.shortest_path(bad, 0)
+
+    def test_numpy_integer_vertex_accepted(self, path3):
+        assert path3.shortest_path(np.int64(0), np.int64(2)) == [0, 1, 2]
+
     def test_mesh_is_max_edge_weight(self):
         space = graph_metric(3, [(0, 1, 0.25), (1, 2, 0.75)])
         assert space.mesh() == 0.75

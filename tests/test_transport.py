@@ -335,11 +335,13 @@ class TestAlternateOptima:
 # -- the network simplex against a from-scratch reference -------------------
 #
 # reference_simplex is the solver loop as it was before the basis tree was
-# kept across pivots and held in arrays: flows live in a dict keyed by
-# cell, the basis in a set, and tree, depths and potentials are rebuilt
-# from scratch on every pivot. The solver must make the same pivots and
-# end in the same state, bit for bit; dict_state converts its array state
-# to the reference's form.
+# kept across pivots and held in arrays, with Dantzig pricing: flows live
+# in a dict keyed by cell, the basis in a set, and tree, depths and
+# potentials are rebuilt from scratch on every pivot. When it pivoted, its
+# flows are then summed afresh over its final basis. The solver, priced
+# with one block of all rows (Dantzig's rule), must make the same pivots
+# and end in the same state, bit for bit; dict_state converts its array
+# state to the reference's form.
 
 def _reference_northwest(a, b):
     m, n = len(a), len(b)
@@ -448,6 +450,25 @@ def _reference_pivot(parent, depth, m, flows, arc):
     return theta, leaving
 
 
+def _reference_basis_flows(basic, a, b):
+    """Flows by cell of a basis: each arc carries the net supply of the
+    side of the tree it cuts off from source 0. The subtrees are summed
+    deepest node first, ties to the lower node, and a sum of 0 or below
+    reads +0.0."""
+    m, n = len(a), len(b)
+    parent, order = _reference_tree(basic, m, n)
+    depth = _reference_depths(parent, order)
+    held = {x: float(a[x]) if x < m else -float(b[x - m]) for x in range(m + n)}
+    flows = {}
+    for node in sorted(range(1, m + n), key=lambda x: (-depth[x], x)):
+        up = parent[node]
+        held[up] += held[node]
+        f = held[node] if node < m else -held[node]
+        cell = (node, up - m) if node < m else (up, node - m)
+        flows[cell] = f if f > 0.0 else 0.0
+    return flows
+
+
 def reference_simplex(a, b, cost_int):
     """(flows, basic, u, v, entering arcs), rebuilding the basis tree on
     every pivot."""
@@ -474,6 +495,8 @@ def reference_simplex(a, b, cost_int):
         basic.discard(_reference_pivot(parent, depth, m, flows, entering)[1])
         basic.add(entering)
         entered.append(entering)
+    if entered:
+        flows = _reference_basis_flows(basic, a, b)
     return flows, basic, u, v, entered
 
 
@@ -526,7 +549,8 @@ def assert_tree_matches_rebuild(parent, depth, basic, m, n):
 
 
 def assert_simplex_matches_reference(a, b, cost_int):
-    """Same pivots and end state as the reference; returns the pivot count."""
+    """Same pivots and end state as the reference, under Dantzig pricing;
+    returns the pivot count."""
     entered = []
     real_pivot = transport._pivot
 
@@ -536,6 +560,7 @@ def assert_simplex_matches_reference(a, b, cost_int):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "_pivot", recording_pivot)
+        mp.setattr(transport, "_BLOCK_ROWS", len(a))
         parent, depth, flow, u, v, reduced = transport._network_simplex(
             a, b, cost_int.copy())
     m, n = cost_int.shape
@@ -577,7 +602,7 @@ def assert_coupling_matches_reference(value, coupling):
     assert type(value) is type(ref_value)
     assert value.hex() == ref_value.hex() == coupling.cost_p.hex()
     # Row-major, like the matrices the reference built; the reduced costs
-    # too, or argmin and the pivot's row updates slow down tenfold.
+    # too, or the row blocks that pricing reads are strided.
     assert coupling.matrix.flags.c_contiguous and st.reduced.flags.c_contiguous
     assert coupling.matrix.tobytes() == ref_matrix.tobytes()
 
@@ -635,7 +660,7 @@ def corpus_digest() -> str:
     return h.hexdigest()
 
 
-CORPUS_DIGEST = "d30aed9e9cce0bda6c206f8d52add7385feca87c4e98521b1a9707612297db0a"
+CORPUS_DIGEST = "645d065dabe68082fa5f87ac2909205c3d7f6f2c616edd62e09181114f9a80f2"
 
 
 def test_corpus_digest_is_unchanged():
@@ -699,6 +724,111 @@ class TestCouplingAgainstReference:
         value, coupling = wasserstein_p(mu, mu, 1.0)
         assert value.hex() == "0x0.0p+0"
         assert_coupling_matches_reference(value, coupling)
+
+
+def euclidean_pairs():
+    """Seeded full-support W_2 pairs on Euclidean spaces up to n = 128,
+    where the rows outnumber one pricing block: no ties."""
+    rng = seeded(34)
+    cases = []
+    for n in (24, 48, 96, 128):
+        space = euclidean_space(rng, n)
+        cases.append((random_measure(rng, space, n), random_measure(rng, space, n), 2.0))
+    return cases
+
+
+def solve_recording(mu, nu, p, block=None):
+    """(W_p, coupling, block size of each pivoting pass); with ``block``,
+    the solver prices that many rows per block."""
+    blocks = []
+    real = transport._pivot_until_optimal
+
+    def recording(base, start, size):
+        blocks.append(size)
+        return real(base, start, size)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_pivot_until_optimal", recording)
+        if block is not None:
+            mp.setattr(transport, "_BLOCK_ROWS", block)
+        value, coupling = wasserstein_p(mu, nu, p)
+    return value, coupling, blocks
+
+
+def solve_bytes(value, coupling):
+    st = coupling._state
+    return (coupling.matrix.tobytes(), value.hex(), st.u.tobytes(), st.v.tobytes(),
+            st.reduced.tobytes(), st.parent.tobytes())
+
+
+class TestBlockSearch:
+    """Block search ends where Dantzig pricing (one block of all rows) does."""
+
+    def test_tie_free_corpus_matches_dantzig(self):
+        corpus = euclidean_pairs() + [case for case in simplex_corpus()
+                                      if case[0].space.geodesic_structure is None]
+        moved = 0
+        for mu, nu, p in corpus:
+            value, coupling, blocks = solve_recording(mu, nu, p)
+            assert not has_alternate_optimum(coupling)
+            assert len(blocks) <= 1  # no re-solve
+            dantzig = solve_recording(mu, nu, p, block=10**9)
+            assert solve_bytes(value, coupling) == solve_bytes(*dantzig[:2])
+            moved += bool(blocks) and len(coupling._state.rows) > transport._BLOCK_ROWS
+        assert moved >= 4
+
+    def test_ties_are_solved_again_by_dantzig(self):
+        resolved = 0
+        for mu, nu, p in simplex_corpus():
+            if mu.space.geodesic_structure is None:
+                continue
+            value, coupling, blocks = solve_recording(mu, nu, p)
+            dantzig = solve_recording(mu, nu, p, block=10**9)
+            assert solve_bytes(value, coupling) == solve_bytes(*dantzig[:2])
+            if len(blocks) == 2:
+                m = len(coupling._state.rows)
+                assert blocks == [transport._BLOCK_ROWS, m]
+                assert has_alternate_optimum(coupling)
+                resolved += 1
+        assert resolved > 0
+
+    def test_degenerate_pivot_is_followed_by_dantzig_pricing(self):
+        # Equal masses on a cycle with unit lengths: many pivots move no
+        # flow, and the arc after each of them is priced over all rows.
+        n = 48
+        space = graph_metric(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+        rng = seeded(35)
+        masses = np.zeros((2, n))
+        for w in masses:
+            w[rng.choice(n, size=n // 2, replace=False)] = 1.0
+        mu, nu = (DiscreteMeasure(space, w) for w in masses)
+        events = []
+        real_pivot, real_price = transport._pivot, transport._price
+
+        def recording_pivot(*args):
+            out = real_pivot(*args)
+            events.append(("pivot", out[0]))
+            return out
+
+        def recording_price(base, du, dv, first, block, bland):
+            events.append(("price", block))
+            return real_price(base, du, dv, first, block, bland)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transport, "_pivot", recording_pivot)
+            mp.setattr(transport, "_price", recording_price)
+            _, coupling = wasserstein_p(mu, nu, 2.0)
+        m = len(coupling._state.rows)
+        assert m > transport._BLOCK_ROWS
+        after = [(theta, events[k + 1][1]) for k, (kind, theta) in enumerate(events)
+                 if kind == "pivot"]
+        assert {block for theta, block in after if theta == 0.0} == {m}
+        assert {block for theta, block in after if theta > 0.0} == {transport._BLOCK_ROWS}
+
+    def test_no_coupling_entry_is_negative(self):
+        for mu, nu, p in simplex_corpus():
+            matrix = wasserstein_p(mu, nu, p)[1].matrix
+            assert not np.signbit(matrix).any()
 
 
 class TestAlternatesAgainstReference:

@@ -53,6 +53,7 @@ class DiscreteMeasure:
 
     @classmethod
     def dirac(cls, space: FiniteMetricSpace, point: int) -> "DiscreteMeasure":
+        space._check_vertex(point)
         w = np.zeros(space.n_points)
         w[point] = 1.0
         return cls(space, w)
@@ -186,6 +187,8 @@ def quantize_at(mu: DiscreteMeasure, n_atoms: int, p: float) -> tuple[DiscreteMe
     """
     from .transport import wasserstein_p  # deferred: transport builds on measures
 
+    if n_atoms < 1:
+        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
     scaled = mu.weights * n_atoms
     counts = np.floor(scaled).astype(np.int64)
     remainder = scaled - counts

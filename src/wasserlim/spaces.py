@@ -97,6 +97,8 @@ class FiniteMetricSpace:
         return self._graph[0] if self._graph is not None else None
 
     def d(self, i: int, j: int) -> float:
+        self._check_vertex(i)
+        self._check_vertex(j)
         return float(self._dist[i, j])
 
     def __repr__(self) -> str:
@@ -228,6 +230,9 @@ def diameter(space: FiniteMetricSpace, subset: Optional[Sequence[int]] = None) -
     idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.intp)
     if idx.size == 0:
         raise EmptySubset("diameter of an empty subset")
+    # Only the least and the greatest index can lie outside the space.
+    space._check_vertex(int(idx[0]))
+    space._check_vertex(int(idx[-1]))
     sub = space.dist[np.ix_(idx, idx)]
     return float(sub.max(initial=0.0))
 

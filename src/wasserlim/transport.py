@@ -40,10 +40,6 @@ from .spaces import FiniteMetricSpace, same_space
 #: Cost integerization factor; pivoting is exact on round(d^p * SCALE).
 SCALE = 10**9
 
-#: Priced pivots allowed per basis node before pricing falls back to
-#: Bland's rule (first arc with negative reduced cost).
-_DANTZIG_PIVOTS_PER_NODE = 50
-
 #: Rows priced per step of the block search (see ``_price``). On random
 #: Euclidean W_2 solves at n = 128 and 256 (2-vCPU Xeon), 8 to 32 rows
 #: were equally fast and 64 slower: smaller blocks take more pivots,
@@ -124,13 +120,14 @@ def wasserstein_p(
     """Exact W_p distance and an optimal coupling.
 
     Deterministic: identical inputs give the identical coupling. Pivot
-    choices compare exact integers and break ties by arc index, and the
-    coupling is a function of the final basis alone, not of the pivots
-    that reached it. Where optima tie (the final basis has a nonbasic arc
-    of reduced cost zero), the solve is repeated with Dantzig pricing, so
-    the coupling is the optimum Dantzig's rule reaches. Symmetric to the
-    last bit: the pair is solved in a fixed orientation and transposed
-    back, so both argument orders share every pivot and every rounding.
+    choices compare exact integers and break ties by arc index or by
+    place on the pivot's cycle, and the coupling is a function of the
+    final basis alone, not of the pivots that reached it. Where optima tie
+    (the final basis has a nonbasic arc of reduced cost zero), the
+    coupling is the one of the basis where block search stops. Symmetric
+    to the last bit: the pair is solved in a fixed orientation and
+    transposed back, so both argument orders share every pivot and every
+    rounding.
     """
     space = _shared_space(mu, nu)
     check_p(p)
@@ -194,12 +191,9 @@ def _zero_cost_nonbasic(state: _SolverState) -> list[tuple[int, int]]:
 
 
 def has_alternate_optimum(coupling: Coupling) -> bool:
-    """Whether a second optimal basis exists (zero reduced cost check)."""
-    return _has_tie(coupling._state.reduced)
-
-
-def _has_tie(reduced: np.ndarray) -> bool:
-    """Whether a nonbasic arc has reduced cost exactly zero."""
+    """Whether a second optimal basis exists: a nonbasic arc has reduced
+    cost exactly zero."""
+    reduced = coupling._state.reduced
     # Each of the m + n - 1 basic arcs has reduced cost zero; any further
     # zero is a nonbasic one.
     return int(np.count_nonzero(reduced == 0)) >= sum(reduced.shape)
@@ -425,6 +419,17 @@ def nearest_atom_projection(
 # fastest rule in LEMON's experiments (Kovács, *Minimum-cost flow
 # algorithms: an experimental evaluation*, OMS 2015): it reads a few rows
 # of reduced costs per pivot, where Dantzig's rule reads them all.
+#
+# Degeneracy is handled by the leaving-arc rule alone. The tree is kept
+# strongly feasible: every arc with zero flow points toward the root, and
+# since arcs run from row to column, every zero-flow arc hangs a row under
+# a column. The staircase is such a tree (a step that exhausts a row and
+# a column together goes down, hanging the next row under the column with
+# zero flow), and each pivot keeps it so by letting the last blocking arc
+# met on the cycle leave (see ``_pivot``). Then no basis repeats, so the
+# simplex cannot cycle under any pricing rule (Cunningham, *A network
+# simplex method*, Math. Programming 11, 1976; Ahuja, Magnanti and Orlin,
+# section 11.5).
 
 def _northwest_basis(a: np.ndarray, b: np.ndarray):
     """Initial basic feasible flow: the north-west corner staircase.
@@ -502,11 +507,14 @@ def _pivot(parent: list, depth: list, flow: list, nbr: list, m: int,
     """Swap ``entering`` into the basis tree, pushing flow around its cycle.
 
     The cycle is the entering arc plus the tree paths from its endpoints
-    up to where they meet. It alternates sides, so the tree arcs at even
-    distance from either endpoint drain and the others gain. Theta is the
-    least flow on the draining arcs; the lowest-index drained cell that
-    carried exactly theta leaves. The subtree it cuts off holds exactly one
-    entering endpoint, the inner one, and is re-hung from it under the
+    up to where they meet, the apex. It alternates sides, so the tree arcs
+    at even distance from either endpoint drain and the others gain. Theta
+    is the least flow on the draining arcs, and of those that carried
+    exactly theta (the blocking arcs) the last one met walking the cycle
+    from the apex along the entering arc leaves: down to the source, then
+    across and up from the sink. This keeps the tree strongly feasible
+    (see the network simplex core). The subtree it cuts off holds exactly
+    one entering endpoint, the inner one, and is re-hung from it under the
     other: the arcs on the stem from the inner endpoint up to the cut turn
     over, so each stem arc's flow moves to the node that is now its child,
     and one traversal resets ``parent`` and ``depth`` below the inner
@@ -523,10 +531,10 @@ def _pivot(parent: list, depth: list, flow: list, nbr: list, m: int,
         else:
             py.append(y)
             y = parent[y]
-    drains = px[::2] + py[::2]
+    # The draining arcs in the order the walk from the apex meets them.
+    drains = px[::2][::-1] + py[::2]
     theta = min(flow[c] for c in drains)
-    cut = min((c for c in drains if flow[c] == theta),
-              key=lambda c: (c, parent[c]) if c < m else (parent[c], c))
+    cut = next(c for c in reversed(drains) if flow[c] == theta)
     for c in px[1::2] + py[1::2]:
         flow[c] += theta
     for c in drains:
@@ -561,63 +569,47 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
     potentials come from a few array passes over its cells, and its
     reduced costs are written over ``cost_int``. When none is negative the
     staircase is optimal and is returned as it is. Otherwise pivots are
-    priced by block search (see ``_price``), and a final basis with a
-    zero-cost nonbasic arc is solved again with Dantzig pricing, so that
-    among tied optima the plan is Dantzig's. The flows of a solve that
-    pivoted are read from its final basis (``_basis_flows``), and its
-    reduced costs are computed once at the end, again over ``cost_int``.
-    All optimality decisions are integer-exact. Returns parent, depth,
-    flow (by node), u, v and the reduced costs.
+    priced by block search (see ``_price``) until none is. The flows of a
+    solve that pivoted are read from its final basis (``_basis_flows``),
+    and its reduced costs are computed once at the end, again over
+    ``cost_int``. All optimality decisions are integer-exact. Returns
+    parent, depth, flow (by node), u, v and the reduced costs.
     """
-    m, n = cost_int.shape
     parent, depth, flow, u, v = _staircase_tree(*_northwest_basis(a, b), cost_int)
     reduced = cost_int
     reduced -= u[:, None]
     reduced -= v
     if reduced.min() >= 0:
         return parent, depth, flow, u, v, reduced
-    start = parent.tolist(), depth.tolist(), flow.tolist()
-    parent, depth, du, dv = _pivot_until_optimal(reduced, start, _BLOCK_ROWS)
+    parent, depth, du, dv = _pivot_until_optimal(
+        reduced, parent.tolist(), depth.tolist(), flow.tolist())
     reduced -= du[:, None]
     reduced -= dv
-    if _BLOCK_ROWS < m and _has_tie(reduced):
-        # Adding the shifts back restores the start's reduced costs exactly.
-        reduced += dv
-        reduced += du[:, None]
-        parent, depth, du, dv = _pivot_until_optimal(reduced, start, m)
-        reduced -= du[:, None]
-        reduced -= dv
     return (np.array(parent), np.array(depth), _basis_flows(parent, depth, a, b),
             u + du, v + dv, reduced)
 
 
-def _pivot_until_optimal(base: np.ndarray, start: tuple, block: int):
-    """Pivot from the ``start`` tree until no reduced cost is negative.
+def _pivot_until_optimal(base: np.ndarray, parent: list, depth: list, flow: list):
+    """Pivot from the given tree until no reduced cost is negative.
 
     ``base`` holds the start's reduced costs and is only read. The
     potentials' shifts since the start, ``du`` and ``dv``, are kept
     instead of the reduced costs, so cell (i, j) now has reduced cost
-    ``base[i, j] - du[i] - dv[j]``, exactly. Pricing takes blocks of
-    ``block`` rows for the first ``_DANTZIG_PIVOTS_PER_NODE * (m + n)``
-    pivots and Bland's rule after them. A degenerate pivot, one that moves
-    no flow, is followed by one pricing over all rows (Dantzig's rule):
-    on degenerate problems, such as uniform weights on a cycle with small
-    integer lengths, block search alone took 2 to 5 times Dantzig's
-    pivots. Each pivot re-hangs the subtree below the leaving arc and
-    shifts that subtree's potentials by the entering arc's reduced cost.
-    Returns the final parent and depth lists, and du and dv.
+    ``base[i, j] - du[i] - dv[j]``, exactly. Each pivot re-hangs the
+    subtree below the leaving arc and shifts that subtree's potentials by
+    the entering arc's reduced cost. More than ``hard_cap`` pivots means a
+    fault, since the strongly feasible tree rules out cycling. The lists
+    are updated in place; returns them with du and dv.
     """
     m, n = base.shape
-    parent, depth, flow = (list(x) for x in start)
     nbr = _adjacency(parent)
     du = np.zeros(m, dtype=np.int64)
     dv = np.zeros(n, dtype=np.int64)
-    budget = _DANTZIG_PIVOTS_PER_NODE * (m + n)
     hard_cap = 10000 + 200 * m * n
     pivots = 0
-    k, delta = _price(base, du, dv, 0, block, bland=not budget)
+    k, delta = _price(base, du, dv, 0)
     while delta < 0:
-        theta, inner, subtree = _pivot(parent, depth, flow, nbr, m, (k // n, k % n))
+        _, inner, subtree = _pivot(parent, depth, flow, nbr, m, (k // n, k % n))
         pivots += 1
         if pivots > hard_cap:
             raise SolverFailure(f"pivot budget exhausted after {pivots} pivots")
@@ -628,32 +620,28 @@ def _pivot_until_optimal(base: np.ndarray, start: tuple, block: int):
             delta = -delta
         du[sub[sub < m]] += delta
         dv[sub[sub >= m] - m] -= delta
-        k, delta = _price(base, du, dv, k // n // block, block if theta > 0 else m,
-                          bland=pivots >= budget)
+        k, delta = _price(base, du, dv, k // n)
     return parent, depth, du, dv
 
 
-def _price(base: np.ndarray, du: np.ndarray, dv: np.ndarray, first: int,
-           block: int, bland: bool) -> tuple[int, int]:
+def _price(base: np.ndarray, du: np.ndarray, dv: np.ndarray, row: int) -> tuple[int, int]:
     """The entering arc's flat index and reduced cost; the cost is >= 0
     when no arc can enter.
 
-    Block search: the rows are cut into blocks of ``block``, and the
-    blocks are priced in turn, from block ``first`` round to the one
+    Block search: the rows are cut into blocks of ``_BLOCK_ROWS``, and the
+    blocks are priced in turn, from the block of ``row`` round to the one
     before it. The first block with a negative reduced cost gives its
     least one, ties to the lowest arc index. One block of all m rows is
-    Dantzig's rule. Under Bland's rule the search starts at block 0 and
-    takes the first negative arc, so it is the first one in arc order.
+    Dantzig's rule.
     """
     m = len(base)
+    block = _BLOCK_ROWS
     count = -(-m // block)
-    if bland:
-        first = 0
     for step in range(count):
-        lo = (first + step) % count * block
+        lo = (row // block + step) % count * block
         red = base[lo:lo + block] - du[lo:lo + block, None]
         red -= dv
-        k = int((red < 0).argmax() if bland else red.argmin())
+        k = int(red.argmin())
         delta = int(red.flat[k])
         if delta < 0:
             return lo * base.shape[1] + k, delta

@@ -1,7 +1,11 @@
 """Shared generators and fixtures for the test suite."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from wasserlim import (
     DiscreteMeasure,
@@ -10,6 +14,22 @@ from wasserlim import (
     validate_metric,
 )
 from wasserlim._util import make_rng
+
+# Every property test draws the same examples on every run, writes no
+# example database and has no per-example deadline, which a busy shared
+# host would trip.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None, max_examples=40)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    # Whatever the settings, hypothesis caches the constants it reads from
+    # local modules in its storage directory, .hypothesis/ in the working
+    # directory unless moved: use one that is removed after the run.
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 def euclidean_space(rng, n, scale=4.0):

@@ -1,6 +1,8 @@
 """Sequence harness: stabilization rule, escaping mass, audits."""
 
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -141,6 +143,80 @@ class TestSequenceWasserstein:
         seq = SpaceSequence(((path5, mu5),))
         with pytest.raises(SpaceMismatch):
             sequence_wasserstein(seq, [mu3], [mu3], 2.0, 0.1)
+
+
+def line_wasserstein(xs, wx, ys, wy, p):
+    """W_p between atomic measures on the real line, with atoms ``xs`` of
+    integer masses ``wx`` and so on, by the quantile formula
+    W_p^p = integral over t in (0, 1) of |F^-1(t) - G^-1(t)|^p. Both
+    quantile functions are steps; their breakpoints are kept exact."""
+    def steps(atoms, masses):
+        order = np.argsort(atoms)
+        total = sum(masses)
+        return ([atoms[i] for i in order],
+                list(accumulate(Fraction(int(masses[i]), int(total)) for i in order)))
+
+    (qx, cx), (qy, cy) = steps(xs, wx), steps(ys, wy)
+    i = j = 0
+    t, acc = Fraction(0), 0.0
+    while t < 1:
+        nxt = min(cx[i], cy[j])
+        acc += float(nxt - t) * abs(qx[i] - qy[j]) ** p
+        t = nxt
+        i += cx[i] == t
+        j += cy[j] == t
+    return acc ** (1 / p)
+
+
+def grid_projection(space, level, atoms, masses):
+    """The measure that moves each atom in [0, 1] to its nearest point of
+    ``dyadic_interval_space(level)``, at most 2^-(level + 1) away."""
+    w = np.zeros(space.n_points)
+    np.add.at(w, np.rint(np.asarray(atoms) * 2**level).astype(int), masses)
+    return DiscreteMeasure(space, w)
+
+
+class TestFiniteShadowOfTheLimit:
+    """On [0, 1] the embedding of P_p(X) into the limit of the P_p(X_l)
+    has a finite shadow: projecting mu and nu onto the 2^-l grid moves
+    each by at most 2^-(l + 1) in W_p, so W_p of the projections is within
+    2^-l of W_p(mu, nu)."""
+
+    LEVELS = range(2, 11)
+
+    @pytest.fixture(scope="class")
+    def seq(self):
+        return dyadic_sequence(self.LEVELS)
+
+    @staticmethod
+    def pairs():
+        rng = seeded(60)
+        out = []
+        for _ in range(6):
+            k, k2 = rng.integers(1, 7, size=2)
+            out.append((rng.uniform(0, 1, k), rng.integers(1, 6, k),
+                        rng.uniform(0, 1, k2), rng.integers(1, 6, k2)))
+        return out
+
+    def test_projections_converge_to_the_line_value(self, seq):
+        for xs, wx, ys, wy in self.pairs():
+            for p in (1.0, 2.0):
+                exact = line_wasserstein(xs, wx, ys, wy, p)
+                for level, (space, _) in zip(self.LEVELS, seq.entries):
+                    mu = grid_projection(space, level, xs, wx)
+                    nu = grid_projection(space, level, ys, wy)
+                    assert abs(wasserstein_p(mu, nu, p)[0] - exact) <= 2.0**-level
+
+    def test_limit_estimate_is_within_the_tail_mesh(self, seq):
+        for xs, wx, ys, wy in self.pairs():
+            mus = [grid_projection(space, level, xs, wx)
+                   for level, (space, _) in zip(self.LEVELS, seq.entries)]
+            nus = [grid_projection(space, level, ys, wy)
+                   for level, (space, _) in zip(self.LEVELS, seq.entries)]
+            verdict = sequence_wasserstein(seq, mus, nus, 2.0, 2.0**-8)
+            coarsest = self.LEVELS[verdict.tail_start]
+            exact = line_wasserstein(xs, wx, ys, wy, 2.0)
+            assert abs(verdict.limit_estimate - exact) <= 2.0**-coarsest
 
 
 class TestEscapingMass:

@@ -45,8 +45,14 @@ class TestDiscreteMeasure:
         assert DiscreteMeasure.dirac(path5, 3).support.tolist() == [3]
         assert DiscreteMeasure.uniform(path5).weights.tolist() == [0.2] * 5
 
+    @pytest.mark.parametrize("bad", [-1, 3, np.int64(-1)], ids=["minus1", "n", "np_int64"])
+    def test_dirac_outside_the_space_refused(self, path3, bad):
+        # Without the check numpy wraps -1 round to point 2.
+        with pytest.raises(ValueError, match=f"vertex {bad} is not a point"):
+            DiscreteMeasure.dirac(path3, bad)
+
     @given(st.integers(min_value=0, max_value=5_000))
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=50)
     def test_weights_always_sum_to_one(self, seed):
         rng = seeded(10, seed)
         space = euclidean_space(rng, int(rng.integers(2, 10)))
@@ -270,6 +276,13 @@ class TestQuantization:
         mu = DiscreteMeasure(path5, np.array([0.5, 0.25, 0.25, 0.0, 0.0]))
         with pytest.raises(ValueError, match="delta must be positive"):
             uniform_quantization(mu, delta, p=2.0)
+
+    @pytest.mark.parametrize("n_atoms", [0, -3])
+    def test_quantize_at_needs_an_atom(self, two_point, n_atoms):
+        # With n_atoms = 0 the rounding divides 0 by 0.
+        mu = DiscreteMeasure(two_point, np.array([0.7, 0.3]))
+        with pytest.raises(ValueError, match="n_atoms must be >= 1"):
+            quantize_at(mu, n_atoms, 1.0)
 
     def test_quantize_at_returns_cloud_and_error(self, two_point):
         mu = DiscreteMeasure(two_point, np.array([0.7, 0.3]))

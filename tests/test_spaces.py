@@ -4,7 +4,7 @@ import heapq
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
@@ -80,7 +80,6 @@ class TestValidateMetric:
             validate_metric(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=12))
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     def test_euclidean_embeddings_always_validate(self, seed, n):
         rng = seeded(1, seed)
         space = euclidean_space(rng, n)
@@ -148,6 +147,12 @@ class TestGraphMetric:
             path3.shortest_path(0, bad)
         with pytest.raises(ValueError, match=message):
             path3.shortest_path(bad, 0)
+        with pytest.raises(ValueError, match=message):
+            path3.d(0, bad)
+        with pytest.raises(ValueError, match=message):
+            path3.d(bad, 0)
+        with pytest.raises(ValueError, match=message):
+            diameter(path3, [bad, 0])
 
     def test_numpy_integer_vertex_accepted(self, path3):
         assert path3.shortest_path(np.int64(0), np.int64(2)) == [0, 1, 2]

@@ -122,8 +122,10 @@ class FiniteMetricSpace:
         return dist[source], pred[source]
 
     def _check_vertex(self, x: int) -> None:
-        """Refuse an index that is no point, before numpy wraps it."""
-        if not 0 <= x < self.n_points:
+        """Refuse an index that is no point, before numpy wraps it, refuses
+        a non-integer with a bare ``IndexError`` or reads a bool as a mask."""
+        if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                or not 0 <= x < self.n_points):
             raise ValueError(f"vertex {x} is not a point of this space "
                              f"(n = {self.n_points})")
 
@@ -227,12 +229,12 @@ def diameter(space: FiniteMetricSpace, subset: Optional[Sequence[int]] = None) -
     """Max pairwise distance over ``subset`` (default: all points)."""
     if subset is None:
         return float(space.dist.max(initial=0.0))
-    idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.intp)
-    if idx.size == 0:
+    points = set(subset)
+    if not points:
         raise EmptySubset("diameter of an empty subset")
-    # Only the least and the greatest index can lie outside the space.
-    space._check_vertex(int(idx[0]))
-    space._check_vertex(int(idx[-1]))
+    for x in points:
+        space._check_vertex(x)
+    idx = np.asarray(sorted(points), dtype=np.intp)
     sub = space.dist[np.ix_(idx, idx)]
     return float(sub.max(initial=0.0))
 

@@ -4,7 +4,9 @@ Three independent routes:
 
 * ``wasserstein_p``: primal network simplex with block-search pricing on
   the bipartite support graph, with integer-scaled costs, so every pivot
-  decision compares exact integers. The coupling is read from the final
+  decision compares exact integers. It returns the north-west staircase
+  when that is optimal, and otherwise pivots from a least-cost start
+  (the matrix-minimum rule). The coupling is read from the final
   basis alone (its flows are summed over the final tree), and the cost is
   recomputed from it in floating point, so the returned optimum is
   bit-stable across runs.
@@ -406,16 +408,20 @@ def nearest_atom_projection(
 # 0, held in arrays indexed by node: parent, depth, and the flow on each
 # non-root node's arc to its parent (as in LEMON's NetworkSimplex), with
 # integer potentials u (rows) and v (columns) that give every basic arc
-# reduced cost zero. The north-west staircase is already such a tree, so
-# the start needs no search; the adjacency lists that a pivot's re-hang
-# walks are built only when a pivot happens. A pivot swaps one arc and
-# re-hangs only the subtree that the leaving arc cuts off (Ahuja,
-# Magnanti, Orlin, *Network Flows*, ch. 11). Parent, depth and the
-# potentials rooted at u[0] = 0 are fixed by the tree alone, so updating
-# them in place gives the values a rebuild from scratch would, bit for bit.
-# The flows that pivots update in floating point are used to choose the
-# leaving arcs only; the flows returned are summed afresh over the final
-# tree, so they too are fixed by the tree. Pricing is block search, the
+# reduced cost zero. The north-west staircase is such a tree, built by a
+# few array passes, and is returned when it is optimal, as it is for
+# measures on a line. Otherwise pivoting starts from the matrix-minimum
+# tree, which places cells in ascending cost (Reinfeld and Vogel, 1958),
+# and so takes far fewer pivots where the staircase ignores the costs;
+# the adjacency lists that a pivot's re-hang walks are built only then.
+# A pivot swaps one arc and re-hangs only the subtree that the leaving
+# arc cuts off (Ahuja, Magnanti, Orlin, *Network Flows*, ch. 11). Parent,
+# depth and the potentials rooted at u[0] = 0 are fixed by the tree alone,
+# so updating them in place gives the values a rebuild from scratch would,
+# bit for bit. The flows that the start and the pivots give in floating
+# point are used to choose the leaving arcs only; the flows returned are
+# summed afresh over the final tree, so they too are fixed by the tree,
+# whichever start reached it. Pricing is block search, the
 # fastest rule in LEMON's experiments (Kovács, *Minimum-cost flow
 # algorithms: an experimental evaluation*, OMS 2015): it reads a few rows
 # of reduced costs per pivot, where Dantzig's rule reads them all.
@@ -425,11 +431,12 @@ def nearest_atom_projection(
 # since arcs run from row to column, every zero-flow arc hangs a row under
 # a column. The staircase is such a tree (a step that exhausts a row and
 # a column together goes down, hanging the next row under the column with
-# zero flow), and each pivot keeps it so by letting the last blocking arc
-# met on the cycle leave (see ``_pivot``). Then no basis repeats, so the
-# simplex cannot cycle under any pricing rule (Cunningham, *A network
-# simplex method*, Math. Programming 11, 1976; Ahuja, Magnanti and Orlin,
-# section 11.5).
+# zero flow), so is the matrix-minimum start (see ``_least_cost_tree``),
+# and each pivot keeps it so by letting the last blocking arc met on the
+# cycle leave (see ``_pivot``). Then no basis repeats, so the simplex
+# cannot cycle under any pricing rule (Cunningham, *A network simplex
+# method*, Math. Programming 11, 1976; Ahuja, Magnanti and Orlin, section
+# 11.5).
 
 def _northwest_basis(a: np.ndarray, b: np.ndarray):
     """Initial basic feasible flow: the north-west corner staircase.
@@ -491,6 +498,80 @@ def _staircase_tree(down: np.ndarray, flow: np.ndarray, cost_int: np.ndarray):
     u[1:] = np.cumsum(step[down])
     v[1:] += np.cumsum(step[~down])
     return parent, depth, node_flow, u, v
+
+
+def _least_cost_tree(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
+    """Parent, depth and node flows (as lists) and potentials of the
+    matrix-minimum start, a strongly feasible basis.
+
+    Cells are visited in ascending integer cost, ties to the lower flat
+    index, skipping those with a closed line. Each placed cell closes one
+    of its two lines and carries that line's whole remainder, which the
+    other line loses, so the m + n - 1 placed cells form a spanning tree.
+    The line with the smaller remainder closes. Remainders are compared as
+    (mass, coefficient of epsilon) under the perturbation that adds one
+    epsilon to the supply of every node but source 0 (a column's demand
+    shrinks by it) and takes m + n - 1 of them from source 0 (Cunningham,
+    1976). Under it no two remainders tie before the last cell and none
+    goes below zero, so a row that closes with no mass left lies on the
+    far side of its cell from source 0: it hangs under the column, as
+    strong feasibility asks. When one side has one line left open, the
+    other side's line closes however the floats have drifted, and the last
+    cell carries the larger of its two remainders. Parent, depth and
+    potentials come from one breadth-first pass from node 0, and each
+    node's flow is its cell's take.
+    """
+    m, n = cost_int.shape
+    ra, rb = a.tolist(), b.tolist()
+    ea, eb = [1] * m, [-1] * n
+    ea[0] = 1 - m - n
+    row_open = np.ones(m, dtype=bool)
+    col_open = np.ones(n, dtype=bool)
+    rows_left, cols_left = m, n
+    nbr: list[list[tuple[int, float, int]]] = [[] for _ in range(m + n)]
+    flat_cost = cost_int.ravel()
+    order = np.argsort(flat_cost, kind="stable")
+    chunk = m + n
+    for lo in range(0, m * n, chunk):
+        cells = order[lo:lo + chunk]
+        ii, jj = np.divmod(cells, n)
+        keep = row_open[ii] & col_open[jj]
+        for i, j, c in zip(ii[keep].tolist(), jj[keep].tolist(),
+                           flat_cost[cells[keep]].tolist()):
+            if not (row_open[i] and col_open[j]):
+                continue
+            if rows_left == cols_left == 1:  # the last cell; no other is open
+                take = ra[i] if ra[i] > rb[j] else rb[j]
+            elif cols_left == 1 or (rows_left > 1 and (ra[i], ea[i]) < (rb[j], eb[j])):
+                take = ra[i]
+                rb[j] -= take
+                eb[j] -= ea[i]
+                row_open[i] = False
+                rows_left -= 1
+            else:
+                take = rb[j]
+                ra[i] -= take
+                ea[i] -= eb[j]
+                col_open[j] = False
+                cols_left -= 1
+            nbr[i].append((m + j, take, c))
+            nbr[m + j].append((i, take, c))
+    parent = [-2] * (m + n)
+    parent[0] = -1
+    depth = [0] * (m + n)
+    flow = [0.0] * (m + n)
+    pot = [0] * (m + n)  # u by row, then v by column
+    bfs = [0]
+    for node in bfs:
+        for q, take, c in nbr[node]:
+            if parent[q] == -2:
+                parent[q] = node
+                depth[q] = depth[node] + 1
+                flow[q] = take
+                pot[q] = c - pot[node]  # a basic arc has c_ij = u_i + v_j
+                bfs.append(q)
+    return (parent, depth, flow, np.array(pot[:m], dtype=np.int64),
+            np.array(pot[m:], dtype=np.int64))
 
 
 def _adjacency(parent: list) -> list[list[int]]:
@@ -565,15 +646,18 @@ def _pivot(parent: list, depth: list, flow: list, nbr: list, m: int,
 def _network_simplex(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
     """Minimize the integer-scaled cost over the transport polytope.
 
-    The start is the north-west staircase, whose tree, depths, flows and
+    The north-west staircase is checked first: its tree, depths, flows and
     potentials come from a few array passes over its cells, and its
     reduced costs are written over ``cost_int``. When none is negative the
-    staircase is optimal and is returned as it is. Otherwise pivots are
-    priced by block search (see ``_price``) until none is. The flows of a
-    solve that pivoted are read from its final basis (``_basis_flows``),
-    and its reduced costs are computed once at the end, again over
-    ``cost_int``. All optimality decisions are integer-exact. Returns
-    parent, depth, flow (by node), u, v and the reduced costs.
+    staircase is optimal and is returned as it is. Otherwise the integer
+    costs are restored (adding the potentials back is exact), the
+    matrix-minimum tree (``_least_cost_tree``) replaces the staircase, and
+    pivots are priced by block search (see ``_price``) until no reduced
+    cost is negative. The flows of such a solve are read from its final
+    basis (``_basis_flows``), so they do not depend on the start, and its
+    reduced costs are computed once at the end, again over ``cost_int``.
+    All optimality decisions are integer-exact. Returns parent, depth,
+    flow (by node), u, v and the reduced costs.
     """
     parent, depth, flow, u, v = _staircase_tree(*_northwest_basis(a, b), cost_int)
     reduced = cost_int
@@ -581,8 +665,12 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
     reduced -= v
     if reduced.min() >= 0:
         return parent, depth, flow, u, v, reduced
-    parent, depth, du, dv = _pivot_until_optimal(
-        reduced, parent.tolist(), depth.tolist(), flow.tolist())
+    reduced += u[:, None]  # the integer costs again, exactly
+    reduced += v
+    parent, depth, flow, u, v = _least_cost_tree(a, b, reduced)
+    reduced -= u[:, None]
+    reduced -= v
+    parent, depth, du, dv = _pivot_until_optimal(reduced, parent, depth, flow)
     reduced -= du[:, None]
     reduced -= dv
     return (np.array(parent), np.array(depth), _basis_flows(parent, depth, a, b),

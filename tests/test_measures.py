@@ -45,7 +45,8 @@ class TestDiscreteMeasure:
         assert DiscreteMeasure.dirac(path5, 3).support.tolist() == [3]
         assert DiscreteMeasure.uniform(path5).weights.tolist() == [0.2] * 5
 
-    @pytest.mark.parametrize("bad", [-1, 3, np.int64(-1)], ids=["minus1", "n", "np_int64"])
+    @pytest.mark.parametrize("bad", [-1, 3, np.int64(-1), 1.5, np.float64(1.0), True],
+                             ids=["minus1", "n", "np_int64", "half", "np_float64", "bool"])
     def test_dirac_outside_the_space_refused(self, path3, bad):
         # Without the check numpy wraps -1 round to point 2.
         with pytest.raises(ValueError, match=f"vertex {bad} is not a point"):

@@ -137,7 +137,8 @@ class TestGraphMetric:
         space = graph_metric(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
         assert space.shortest_path(0, 3) == [0, 1, 3]
 
-    @pytest.mark.parametrize("bad", [-1, 3, np.int64(-1)], ids=["minus1", "n", "np_int64"])
+    @pytest.mark.parametrize("bad", [-1, 3, np.int64(-1), 1.5, np.float64(1.0), True],
+                             ids=["minus1", "n", "np_int64", "half", "np_float64", "bool"])
     def test_vertex_outside_the_space_refused(self, path3, bad):
         # Without the check numpy wraps -1 round to vertex 2.
         message = f"vertex {bad} is not a point of this space \\(n = 3\\)"

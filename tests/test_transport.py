@@ -337,11 +337,13 @@ class TestAlternateOptima:
 # reference_simplex is the solver loop as it was before the basis tree was
 # kept across pivots and held in arrays, with Dantzig pricing: flows live
 # in a dict keyed by cell, the basis in a set, and tree, depths and
-# potentials are rebuilt from scratch on every pivot. Its leaving arc is
-# the last blocking arc of the cycle list rotated to start at the apex.
-# When it pivoted, its flows are then summed afresh over its final basis.
-# The solver, priced with one block of all rows (Dantzig's rule), must
-# make the same pivots and end in the same state, bit for bit; dict_state
+# potentials are rebuilt from scratch on every pivot. It checks the
+# north-west staircase first and, when that is not optimal, starts again
+# from its own matrix-minimum basis. Its leaving arc is the last blocking
+# arc of the cycle list rotated to start at the apex. When it left the
+# staircase, its flows are then summed afresh over its final basis. The
+# solver, priced with one block of all rows (Dantzig's rule), must make
+# the same pivots and end in the same state, bit for bit; dict_state
 # converts its array state to the reference's form.
 
 def _reference_northwest(a, b):
@@ -363,6 +365,41 @@ def _reference_northwest(a, b):
             j += 1
         else:
             i += 1
+    return flows
+
+
+def _reference_least_cost(a, b, cost_int):
+    """Flows by cell of the matrix-minimum start.
+
+    Cells in order of (cost, flat index); a cell whose row and column are
+    open closes one of them and carries its remainder. A remainder is
+    [mass, epsilon coefficient]: each line but row 0 starts with one
+    epsilon of supply (a column's demand is one epsilon less), and row 0
+    gives up m + n - 1. The smaller remainder closes, unless its side has
+    one line left; the last cell carries the larger remainder.
+    """
+    m, n = cost_int.shape
+    rows = {i: [float(a[i]), 1] for i in range(m)}
+    rows[0][1] = 1 - m - n
+    cols = {j: [float(b[j]), -1] for j in range(n)}
+    flows = {}
+    for k in sorted(range(m * n), key=lambda k: (int(cost_int.flat[k]), k)):
+        i, j = divmod(k, n)
+        if i not in rows or j not in cols:
+            continue
+        if len(rows) == len(cols) == 1:
+            flows[(i, j)] = max(rows[i][0], cols[j][0])
+            break
+        if len(cols) == 1:
+            shut_row = True
+        elif len(rows) == 1:
+            shut_row = False
+        else:
+            shut_row = tuple(rows[i]) < tuple(cols[j])
+        shut, other = (rows.pop(i), cols[j]) if shut_row else (cols.pop(j), rows[i])
+        flows[(i, j)] = shut[0]
+        other[0] -= shut[0]
+        other[1] -= shut[1]
     return flows
 
 
@@ -480,6 +517,12 @@ def reference_simplex(a, b, cost_int):
     m, n = cost_int.shape
     flows = _reference_northwest(a, b)
     basic = set(flows)
+    parent, order = _reference_tree(basic, m, n)
+    u, v = _reference_potentials(parent, order, cost_int)
+    if (cost_int - u[:, None] - v[None, :]).min() >= 0:
+        return flows, basic, u, v, []
+    flows = _reference_least_cost(a, b, cost_int)
+    basic = set(flows)
     entered = []
     while True:
         parent, order = _reference_tree(basic, m, n)
@@ -493,9 +536,7 @@ def reference_simplex(a, b, cost_int):
         basic.discard(_reference_pivot(parent, depth, m, flows, entering)[1])
         basic.add(entering)
         entered.append(entering)
-    if entered:
-        flows = _reference_basis_flows(basic, a, b)
-    return flows, basic, u, v, entered
+    return _reference_basis_flows(basic, a, b), basic, u, v, entered
 
 
 def half_support_cycle_pair():
@@ -670,7 +711,7 @@ def corpus_digest() -> str:
     return h.hexdigest()
 
 
-CORPUS_DIGEST = "597bf352438281cebb10fc5196208f03b665ea82e0d5e5e4cc776889ef472c8e"
+CORPUS_DIGEST = "e4d02dd3caf0292c35cc82905bfb7ef0aac29eda95181bd43dd4ae1c00734f77"
 
 
 def test_corpus_digest_is_unchanged():
@@ -720,6 +761,64 @@ def test_every_pivot_keeps_the_tree_strongly_feasible(monkeypatch):
         wasserstein_p(mu, nu, p)
     assert counts["degenerate"] > 0
     assert counts["pivots"] > counts["degenerate"]
+
+
+def start_sweep():
+    """Seeded transportation problems with m, n <= 30 and integer costs in
+    {0..4}·1e9, so many cells tie. Masses are w / w.sum() for integer w in
+    1..3, or uniform 1/m against 1/n, whose float totals drift apart."""
+    rng = seeded(36)
+    cases = []
+    for trial in range(3000):
+        m, n = (int(x) for x in rng.integers(1, 31, size=2))
+        cost = rng.integers(0, 5, size=(m, n)) * 10**9
+        if trial % 3 == 0:
+            a, b = np.full(m, 1 / m), np.full(n, 1 / n)
+        else:
+            wa, wb = rng.integers(1, 4, size=m), rng.integers(1, 4, size=n)
+            a, b = wa / wa.sum(), wb / wb.sum()
+        cases.append((a, b, cost))
+    return cases
+
+
+def test_least_cost_start_is_strongly_feasible():
+    # A tie in mass that closes the row, or a forced last line that gives
+    # the smaller remainder, each leaves zero-flow column arcs here.
+    for a, b, cost in start_sweep():
+        m, n = cost.shape
+        parent, _, flow, u, v = transport._least_cost_tree(a, b, cost)
+        assert parent[0] == -1 and min(parent[1:], default=0) >= 0  # m + n - 1 cells
+        assert min(flow) >= 0.0
+        assert 0.0 not in flow[m:]
+        x = np.arange(1, m + n)
+        i, j = np.minimum(x, parent[1:]), np.maximum(x, parent[1:]) - m
+        assert (cost[i, j] == u[i] + v[j]).all()
+
+
+def test_start_moves_no_tie_free_solve(monkeypatch):
+    # A tie-free, nondegenerate optimum is fixed by its basis, so pivoting
+    # from the staircase ends in the same bytes, after more pivots.
+    def staircase_start(a, b, cost_int):
+        parent, depth, flow, u, v = transport._staircase_tree(
+            *transport._northwest_basis(a, b), cost_int)
+        return parent.tolist(), depth.tolist(), flow.tolist(), u, v
+
+    pivots = []
+    real_pivot = transport._pivot
+
+    def counting_pivot(*args):
+        pivots[-1] += 1
+        return real_pivot(*args)
+
+    monkeypatch.setattr(transport, "_pivot", counting_pivot)
+    solved = []
+    for start in (transport._least_cost_tree, staircase_start):
+        monkeypatch.setattr(transport, "_least_cost_tree", start)
+        pivots.append(0)
+        solved.append([solve_bytes(*wasserstein_p(mu, nu, p))
+                       for mu, nu, p in euclidean_pairs()])
+    assert solved[0] == solved[1]
+    assert pivots[0] < pivots[1]
 
 
 class TestCouplingAgainstReference:

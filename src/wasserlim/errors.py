@@ -41,6 +41,19 @@ class TriangleViolation(WasserlimError):
         return out
 
 
+class CoincidentPoints(WasserlimError):
+    """Two distinct points are at distance exactly 0 (a pseudometric)."""
+
+    def __init__(self, i: int, j: int):
+        self.pair = (int(i), int(j))
+        super().__init__(f"d({i},{j}) = 0 for distinct points {i} and {j}")
+
+    def payload(self) -> dict:
+        out = super().payload()
+        out["pair"] = list(self.pair)
+        return out
+
+
 class EmptySubset(WasserlimError):
     """A point-set argument that must be nonempty is empty."""
 
@@ -83,10 +96,6 @@ class NotUniformCloud(WasserlimError):
 
 class SizeMismatch(WasserlimError):
     """Two clouds admit no common uniform size within the atom cap."""
-
-
-class TooLarge(WasserlimError):
-    """Instance exceeds the brute-force oracle's size bound."""
 
 
 # -- geodesics --------------------------------------------------------------

@@ -18,6 +18,7 @@ from scipy.sparse.csgraph import dijkstra, floyd_warshall
 
 from .errors import (
     Asymmetric,
+    CoincidentPoints,
     Disconnected,
     EmptySubset,
     NegativeDistance,
@@ -39,10 +40,11 @@ class FiniteMetricSpace:
     Construction copies the matrix it is given, so the caller's array
     stays writable and later changes to it do not reach the space, and
     checks the metric axioms on the copy at METRIC_TOL times the
-    diameter. Only ``graph_metric`` builds a space with geodesic
-    structure: through the private ``_graph`` argument it hands over its
-    edge list with the all-pairs shortest-path distances and predecessors
-    solved from it, so the three always agree. Those matrices are metrics
+    diameter, and refuses distinct points at distance exactly 0. Only
+    ``graph_metric`` builds a space with geodesic structure: through the
+    private ``_graph`` argument it hands over its edge list with the
+    all-pairs shortest-path distances and predecessors solved from it,
+    so the three always agree. Those matrices are metrics
     by construction (its docstring gives the rounding bound), so that path
     skips the copy and the O(n^3) triangle check. Either way a held
     instance is a valid space.
@@ -202,13 +204,20 @@ def _check_metric(dist: np.ndarray) -> None:
     indptr = np.arange(0, n * n + 1, n, dtype=np.int32)
     graph = csr_matrix((dist.ravel(), cols, indptr), shape=(n, n))
     shortest = floyd_warshall(graph, directed=True)
-    if not np.any(np.subtract(dist, shortest, out=shortest) > tol):
-        return
-    for k in range(n):
-        excess = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
-        if np.any(excess > tol):
-            i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
-            raise TriangleViolation(i, j, k, float(excess[i, j]))
+    if np.any(np.subtract(dist, shortest, out=shortest) > tol):
+        for k in range(n):
+            excess = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
+            if np.any(excess > tol):
+                i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
+                raise TriangleViolation(i, j, k, float(excess[i, j]))
+    # Distinct points at distance exactly 0 make a pseudometric, over which
+    # distinct Diracs are at W_p distance 0. Exact zero, not the tolerance:
+    # a graph metric's distances may legitimately span many decades.
+    zero = dist == 0
+    np.fill_diagonal(zero, False)
+    if np.any(zero):
+        i, j = np.unravel_index(int(np.argmax(zero)), zero.shape)
+        raise CoincidentPoints(i, j)
 
 
 def validate_metric(
@@ -219,8 +228,8 @@ def validate_metric(
     """Validate a raw distance matrix and wrap it as a space.
 
     The space keeps a float64 copy of ``dist_matrix``. Raises Asymmetric,
-    NegativeDistance, or TriangleViolation naming the first violated
-    axiom.
+    NegativeDistance, TriangleViolation or CoincidentPoints naming the
+    first violated axiom.
     """
     return FiniteMetricSpace(dist_matrix, base_point=base_point, names=names)
 

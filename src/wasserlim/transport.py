@@ -1,6 +1,6 @@
 """Exact p-Wasserstein distances and optimal couplings.
 
-Three independent routes:
+Two independent routes:
 
 * ``wasserstein_p``: primal network simplex with block-search pricing on
   the bipartite support graph, with integer-scaled costs, so every pivot
@@ -13,9 +13,9 @@ Three independent routes:
 * ``assignment_wasserstein``: expands equal-weight clouds to atom lists and
   solves the assignment problem with scipy's exact solver; shares no code
   with the simplex.
-* ``brute_force_wasserstein``: enumerates transport-polytope vertices as
-  spanning-tree flows of the bipartite support graph. Slow, small
-  instances only; this is the oracle the other two are tested against.
+
+The test suite checks both against an enumeration of the transport
+polytope's vertices on small instances.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +33,6 @@ from .errors import (
     SizeMismatch,
     SolverFailure,
     SpaceMismatch,
-    TooLarge,
 )
 from .measures import ATOM_CAP, DiscreteMeasure
 from .spaces import FiniteMetricSpace, same_space
@@ -47,9 +45,6 @@ SCALE = 10**9
 #: were equally fast and 64 slower: smaller blocks take more pivots,
 #: larger ones price more cells per pivot.
 _BLOCK_ROWS = 16
-
-#: Cell bound for the enumeration oracle (|supp mu| * |supp nu|).
-BRUTE_FORCE_LIMIT = 12
 
 #: Largest expanded cloud size the assignment route will materialize; the
 #: cost matrix is dense, so this bounds memory at ~32 MB.
@@ -296,88 +291,6 @@ def _uniform_size(cloud: DiscreteMeasure) -> tuple[int, np.ndarray]:
     return n, counts
 
 
-def brute_force_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
-    """Exact W_p by enumerating every vertex of the transport polytope.
-
-    Each vertex is the unique flow carried by some spanning tree of the
-    complete bipartite support graph, so trying all trees and keeping the
-    cheapest feasible flow is exact. (Permuted north-west-corner fills
-    are NOT enough: a tree with leaf rows on three distinct columns plus
-    a full row is no staircase in any ordering.) Exponentially slow; the
-    cell bound keeps it honest.
-    """
-    space = _shared_space(mu, nu)
-    check_p(p)
-    rows = mu.support
-    cols = nu.support
-    m, n = len(rows), len(cols)
-    if m * n > BRUTE_FORCE_LIMIT:
-        raise TooLarge(
-            f"supports give {m}*{n} cells; oracle bound is {BRUTE_FORCE_LIMIT}"
-        )
-    a = mu.weights[rows]
-    b = nu.weights[cols]
-    cost = space.dist[np.ix_(rows, cols)] ** p
-    cells = [(i, j) for i in range(m) for j in range(n)]
-    best = math.inf
-    for combo in combinations(cells, m + n - 1):
-        flows = _tree_flows(combo, a, b)
-        if flows is None:
-            continue
-        total = sum(f * cost[i, j] for (i, j), f in zip(combo, flows))
-        best = min(best, total)
-    return best ** (1.0 / p)
-
-
-def _tree_flows(arcs, a, b):
-    """Flow values forced by a candidate basis, or None.
-
-    Returns None when the arcs contain a cycle (then they are no basis)
-    or when peeling leaves produces a negative allocation (then the basis
-    is infeasible and carries no vertex).
-    """
-    m, n = len(a), len(b)
-    size = m + n
-    link = list(range(size))
-
-    def find(x: int) -> int:
-        while link[x] != x:
-            link[x] = link[link[x]]
-            x = link[x]
-        return x
-
-    for i, j in arcs:
-        ri, rj = find(i), find(m + j)
-        if ri == rj:
-            return None
-        link[ri] = rj
-    # m+n-1 acyclic arcs on m+n nodes necessarily span; no extra check.
-    supply = list(a) + list(b)
-    open_arcs: list[set[int]] = [set() for _ in range(size)]
-    for idx, (i, j) in enumerate(arcs):
-        open_arcs[i].add(idx)
-        open_arcs[m + j].add(idx)
-    flows: list[float] = [0.0] * len(arcs)
-    stack = [v for v in range(size) if len(open_arcs[v]) == 1]
-    while stack:
-        v = stack.pop()
-        if len(open_arcs[v]) != 1:
-            continue
-        idx = open_arcs[v].pop()
-        i, j = arcs[idx]
-        other = m + j if v == i else i
-        f = supply[v]
-        if f < -1e-12:
-            return None
-        flows[idx] = max(f, 0.0)
-        supply[v] = 0.0
-        supply[other] -= f
-        open_arcs[other].discard(idx)
-        if len(open_arcs[other]) == 1:
-            stack.append(other)
-    return flows
-
-
 def nearest_atom_projection(
     mu: DiscreteMeasure, cloud: DiscreteMeasure, p: float
 ) -> ProjectionResult:
@@ -414,17 +327,19 @@ def nearest_atom_projection(
 # tree, which places cells in ascending cost (Reinfeld and Vogel, 1958),
 # and so takes far fewer pivots where the staircase ignores the costs;
 # the adjacency lists that a pivot's re-hang walks are built only then.
-# A pivot swaps one arc and re-hangs only the subtree that the leaving
-# arc cuts off (Ahuja, Magnanti, Orlin, *Network Flows*, ch. 11). Parent,
-# depth and the potentials rooted at u[0] = 0 are fixed by the tree alone,
-# so updating them in place gives the values a rebuild from scratch would,
+# A pivot swaps one arc, re-hangs only the subtree that the leaving arc
+# cuts off and shifts that subtree's potentials by one constant (Ahuja,
+# Magnanti, Orlin, *Network Flows*, ch. 11), which are held meanwhile in
+# one node array, u for the rows and -v for the columns. Parent, depth
+# and the potentials rooted at u[0] = 0 are fixed by the tree alone, so
+# updating them in place gives the values a rebuild from scratch would,
 # bit for bit. The flows that the start and the pivots give in floating
 # point are used to choose the leaving arcs only; the flows returned are
 # summed afresh over the final tree, so they too are fixed by the tree,
-# whichever start reached it. Pricing is block search, the
-# fastest rule in LEMON's experiments (Kovács, *Minimum-cost flow
-# algorithms: an experimental evaluation*, OMS 2015): it reads a few rows
-# of reduced costs per pivot, where Dantzig's rule reads them all.
+# whichever start reached it. Pricing is block search, the fastest rule
+# in LEMON's experiments (Kovács, *Minimum-cost flow algorithms: an
+# experimental evaluation*, OMS 2015): it reads a few rows of reduced
+# costs per pivot, where Dantzig's rule reads them all.
 #
 # Degeneracy is handled by the leaving-arc rule alone. The tree is kept
 # strongly feasible: every arc with zero flow points toward the root, and
@@ -652,87 +567,83 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost_int: np.ndarray):
     staircase is optimal and is returned as it is. Otherwise the integer
     costs are restored (adding the potentials back is exact), the
     matrix-minimum tree (``_least_cost_tree``) replaces the staircase, and
-    pivots are priced by block search (see ``_price``) until no reduced
-    cost is negative. The flows of such a solve are read from its final
-    basis (``_basis_flows``), so they do not depend on the start, and its
-    reduced costs are computed once at the end, again over ``cost_int``.
-    All optimality decisions are integer-exact. Returns parent, depth,
-    flow (by node), u, v and the reduced costs.
+    its potentials go into one node array, u for the rows and -v for the
+    columns, which pivoting updates in place (``_pivot_until_optimal``).
+    The flows of such a solve are read from its final basis
+    (``_basis_flows``), so they do not depend on the start, and its reduced
+    costs are computed once at the end, again over ``cost_int``. All
+    optimality decisions are integer-exact. Returns parent, depth, flow
+    (by node), u, v and the reduced costs.
     """
+    m = len(a)
     parent, depth, flow, u, v = _staircase_tree(*_northwest_basis(a, b), cost_int)
     reduced = cost_int
     reduced -= u[:, None]
     reduced -= v
     if reduced.min() >= 0:
         return parent, depth, flow, u, v, reduced
-    reduced += u[:, None]  # the integer costs again, exactly
-    reduced += v
-    parent, depth, flow, u, v = _least_cost_tree(a, b, reduced)
-    reduced -= u[:, None]
-    reduced -= v
-    parent, depth, du, dv = _pivot_until_optimal(reduced, parent, depth, flow)
-    reduced -= du[:, None]
-    reduced -= dv
+    cost_int += u[:, None]  # the integer costs again, exactly
+    cost_int += v
+    parent, depth, flow, u, v = _least_cost_tree(a, b, cost_int)
+    pot = np.concatenate((u, -v))
+    _pivot_until_optimal(cost_int, parent, depth, flow, pot)
+    reduced -= pot[:m, None]
+    reduced += pot[m:]
     return (np.array(parent), np.array(depth), _basis_flows(parent, depth, a, b),
-            u + du, v + dv, reduced)
+            pot[:m], -pot[m:], reduced)
 
 
-def _pivot_until_optimal(base: np.ndarray, parent: list, depth: list, flow: list):
+def _pivot_until_optimal(cost: np.ndarray, parent: list, depth: list, flow: list,
+                         pot: np.ndarray) -> None:
     """Pivot from the given tree until no reduced cost is negative.
 
-    ``base`` holds the start's reduced costs and is only read. The
-    potentials' shifts since the start, ``du`` and ``dv``, are kept
-    instead of the reduced costs, so cell (i, j) now has reduced cost
-    ``base[i, j] - du[i] - dv[j]``, exactly. Each pivot re-hangs the
-    subtree below the leaving arc and shifts that subtree's potentials by
-    the entering arc's reduced cost. More than ``hard_cap`` pivots means a
-    fault, since the strongly feasible tree rules out cycling. The lists
-    are updated in place; returns them with du and dv.
+    ``cost`` holds the integer costs and is only read. ``pot`` holds one
+    potential per node, u for the rows and -v for the columns, so cell
+    (i, j) has reduced cost ``cost[i, j] - pot[i] + pot[m + j]``, exactly.
+    Each pivot re-hangs the subtree below the leaving arc and shifts that
+    subtree's potentials by one constant, which keeps its own arcs at
+    reduced cost zero and brings the entering arc's to zero. More than
+    ``hard_cap`` pivots means a fault, since the strongly feasible tree
+    rules out cycling. The lists and ``pot`` are updated in place.
     """
-    m, n = base.shape
+    m, n = cost.shape
     nbr = _adjacency(parent)
-    du = np.zeros(m, dtype=np.int64)
-    dv = np.zeros(n, dtype=np.int64)
     hard_cap = 10000 + 200 * m * n
     pivots = 0
-    k, delta = _price(base, du, dv, 0)
+    k, delta = _price(cost, pot, 0)
     while delta < 0:
         _, inner, subtree = _pivot(parent, depth, flow, nbr, m, (k // n, k % n))
         pivots += 1
         if pivots > hard_cap:
             raise SolverFailure(f"pivot budget exhausted after {pivots} pivots")
-        sub = np.array(subtree)
-        # Shift the subtree's potentials by delta, signed so that the
-        # entering arc's reduced cost becomes zero.
-        if inner >= m:
-            delta = -delta
-        du[sub[sub < m]] += delta
-        dv[sub[sub >= m] - m] -= delta
-        k, delta = _price(base, du, dv, k // n)
-    return parent, depth, du, dv
+        # Converted once; a list index is converted to read and again to write.
+        pot[np.array(subtree)] += -delta if inner >= m else delta
+        k, delta = _price(cost, pot, k // n)
 
 
-def _price(base: np.ndarray, du: np.ndarray, dv: np.ndarray, row: int) -> tuple[int, int]:
+def _price(cost: np.ndarray, pot: np.ndarray, row: int) -> tuple[int, int]:
     """The entering arc's flat index and reduced cost; the cost is >= 0
     when no arc can enter.
 
     Block search: the rows are cut into blocks of ``_BLOCK_ROWS``, and the
     blocks are priced in turn, from the block of ``row`` round to the one
-    before it. The first block with a negative reduced cost gives its
-    least one, ties to the lowest arc index. One block of all m rows is
-    Dantzig's rule.
+    before it. A block's reduced costs are its rows of ``cost`` less the
+    rows' potentials plus the columns' (the node array holds -v). The
+    first block with a negative reduced cost gives its least one, ties to
+    the lowest arc index. One block of all m rows is Dantzig's rule.
     """
-    m = len(base)
+    m = len(cost)
+    u, w = pot[:m], pot[m:]
     block = _BLOCK_ROWS
     count = -(-m // block)
     for step in range(count):
         lo = (row // block + step) % count * block
-        red = base[lo:lo + block] - du[lo:lo + block, None]
-        red -= dv
+        red = cost[lo:lo + block] - u[lo:lo + block, None]
+        red += w
         k = int(red.argmin())
         delta = int(red.flat[k])
         if delta < 0:
-            return lo * base.shape[1] + k, delta
+            return lo * cost.shape[1] + k, delta
     return -1, 0
 
 

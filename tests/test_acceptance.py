@@ -32,10 +32,15 @@ from wasserlim.serialization import space_to_dict
 from wasserlim.spaces import diameter
 from wasserlim.transport import (
     assignment_wasserstein,
-    brute_force_wasserstein,
     nearest_atom_projection,
 )
-from conftest import euclidean_space, random_measure, seeded, uniform_cloud
+from conftest import (
+    brute_force_wasserstein,
+    euclidean_space,
+    random_measure,
+    seeded,
+    uniform_cloud,
+)
 
 
 def test_criterion_01_escaping_mass_distance_is_exactly_one():

@@ -227,6 +227,23 @@ class TestValidate:
         assert payload["error"] == "TriangleViolation"
         assert len(payload["triple"]) == 3
 
+    def test_pseudometric_is_reported_with_the_pair(self, runner, tmp_path):
+        bad = write_doc(
+            tmp_path / "bad.json",
+            {
+                "points": ["x", "y", "z"],
+                "base": 0,
+                "metric": [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
+            },
+        )
+        result = runner.invoke(main, ["validate", "--space", str(bad)])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {
+            "error": "CoincidentPoints",
+            "message": "d(0,1) = 0 for distinct points 0 and 1",
+            "pair": [0, 1],
+        }
+
 
 class TestTransport:
     def test_distance_between_endpoint_diracs(self, runner, path3_files):

@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from wasserlim import (
     DiscreteMeasure,
-    brute_force_wasserstein,
     graph_metric,
     validate_metric,
     wasserstein_p,
 )
-from wasserlim.transport import BRUTE_FORCE_LIMIT
+from conftest import BRUTE_FORCE_LIMIT, brute_force_wasserstein
 
 
 @st.composite

@@ -21,6 +21,7 @@ from wasserlim import spaces as spaces_module
 from wasserlim.spaces import METRIC_TOL, FiniteMetricSpace, _check_metric
 from wasserlim.errors import (
     Asymmetric,
+    CoincidentPoints,
     Disconnected,
     EmptySubset,
     NegativeDistance,
@@ -48,6 +49,32 @@ class TestValidateMetric:
         with pytest.raises(TriangleViolation) as exc:
             validate_metric(np.array([[0.0, 1, 3], [1, 0, 1], [3, 1, 0]]))
         assert exc.value.triple == (0, 2, 1)
+
+    def test_coincident_points_rejected(self):
+        # A pseudometric: W_1 between the distinct Diracs at 0 and 1 would be 0.
+        with pytest.raises(CoincidentPoints) as exc:
+            validate_metric([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        assert exc.value.pair == (0, 1)
+        with pytest.raises(CoincidentPoints):
+            validate_metric(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+
+    def test_coincident_points_rejected_after_the_triangle_scan(self):
+        # The chain of sub-tolerance slacks below trips the shortest-path
+        # certificate, so the k-by-k scan runs and finds no violation; the
+        # duplicate of point 0 must still be refused on that exit.
+        n = 8
+        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+        dist = np.where(gap > 0, gap + 0.6 * METRIC_TOL * (n - 1) * (gap - 1), 0.0)
+        dist = np.vstack([dist, dist[:1]])
+        dist = np.hstack([dist, dist[:, :1]])
+        assert reference_triangle_violation(dist) is None
+        with pytest.raises(CoincidentPoints) as exc:
+            validate_metric(dist)
+        assert exc.value.pair == (0, n)
+
+    def test_tiny_distances_are_not_coincident(self):
+        space = validate_metric(np.array([[0.0, 1e-300], [1e-300, 0.0]]))
+        assert space.d(0, 1) == 1e-300
 
     @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
     def test_tolerance_follows_the_unit(self, scale):

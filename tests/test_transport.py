@@ -11,7 +11,6 @@ from scipy.optimize import linprog
 from wasserlim import (
     DiscreteMeasure,
     assignment_wasserstein,
-    brute_force_wasserstein,
     dyadic_interval_space,
     estimate_k,
     graph_metric,
@@ -26,11 +25,16 @@ from wasserlim.errors import (
     SizeMismatch,
     SolverFailure,
     SpaceMismatch,
-    TooLarge,
 )
 from wasserlim import curvature, transport
 from wasserlim.transport import alternate_optimal_couplings, has_alternate_optimum
-from conftest import euclidean_space, random_measure, seeded, uniform_cloud
+from conftest import (
+    brute_force_wasserstein,
+    euclidean_space,
+    random_measure,
+    seeded,
+    uniform_cloud,
+)
 
 
 def small_pair(rng, max_cells=12):
@@ -167,14 +171,6 @@ class TestBruteForceOracle:
     def test_dirac_pair(self, path5):
         a, b = DiscreteMeasure.dirac(path5, 0), DiscreteMeasure.dirac(path5, 4)
         assert brute_force_wasserstein(a, b, 1.0) == pytest.approx(4.0)
-
-    def test_cell_bound_enforced(self):
-        rng = seeded(27)
-        space = euclidean_space(rng, 9)
-        mu = random_measure(rng, space, atoms=5)
-        nu = random_measure(rng, space, atoms=3)
-        with pytest.raises(TooLarge):
-            brute_force_wasserstein(mu, nu, 2.0)
 
 
 class TestAssignment:
@@ -819,6 +815,38 @@ def test_start_moves_no_tie_free_solve(monkeypatch):
                        for mu, nu, p in euclidean_pairs()])
     assert solved[0] == solved[1]
     assert pivots[0] < pivots[1]
+
+
+def test_pivot_budget_is_enforced(monkeypatch):
+    # A pivot that changes no tree arc and reports the whole tree as the
+    # re-hung subtree shifts every potential alike, so the same arc enters
+    # forever; the loop must give up after 10000 + 200·m·n pivots.
+    rng = seeded(40)
+    space = euclidean_space(rng, 4)
+    mu, nu = random_measure(rng, space, 4), random_measure(rng, space, 4)
+    calls = 0
+    real_pivot = transport._pivot
+
+    def counting_pivot(*args):
+        nonlocal calls
+        calls += 1
+        return real_pivot(*args)
+
+    def stuck_pivot(parent, depth, flow, nbr, m, entering):
+        nonlocal calls
+        calls += 1
+        return 0.0, entering[0], list(range(len(parent)))
+
+    monkeypatch.setattr(transport, "_pivot", counting_pivot)
+    wasserstein_p(mu, nu, 2.0)
+    assert calls > 0
+    calls = 0
+    monkeypatch.setattr(transport, "_pivot", stuck_pivot)
+    budget = 10000 + 200 * 4 * 4
+    with pytest.raises(SolverFailure,
+                       match=f"pivot budget exhausted after {budget + 1} pivots"):
+        wasserstein_p(mu, nu, 2.0)
+    assert calls == budget + 1
 
 
 class TestCouplingAgainstReference:

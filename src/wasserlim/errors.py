@@ -87,7 +87,10 @@ class QuantizationBudgetExceeded(WasserlimError):
 # -- transport --------------------------------------------------------------
 
 class SolverFailure(WasserlimError):
-    """The transport solver reached an inconsistent state; signals a bug."""
+    """The transport solver cannot give an exact answer: the costs d**p
+    leave the range a float can scale exactly (they overflow, underflow
+    to zero, or are too small for any power-of-two scale), or pivoting
+    reached an inconsistent state, which signals a bug."""
 
 
 class NotUniformCloud(WasserlimError):

@@ -3,13 +3,13 @@
 Two independent routes:
 
 * ``wasserstein_p``: primal network simplex with block-search pricing on
-  the bipartite support graph, with integer-scaled costs, so every pivot
-  decision compares exact integers. It returns the north-west staircase
-  when that is optimal, and otherwise pivots from a least-cost start
-  (the matrix-minimum rule). The coupling is read from the final
-  basis alone (its flows are summed over the final tree), and the cost is
-  recomputed from it in floating point, so the returned optimum is
-  bit-stable across runs.
+  the bipartite support graph, on costs scaled by a per-solve power of
+  two and rounded, so every pivot decision compares exact integers in any
+  distance unit. It returns the north-west staircase when that is
+  optimal, and otherwise pivots from a least-cost start (the
+  matrix-minimum rule). The coupling is read from the final basis alone
+  (its flows are summed over the final tree), and the cost is recomputed
+  from it in floating point, so the returned optimum is bit-stable.
 * ``assignment_wasserstein``: expands equal-weight clouds to atom lists and
   solves the assignment problem with scipy's exact solver; shares no code
   with the simplex.
@@ -36,9 +36,6 @@ from .errors import (
 )
 from .measures import ATOM_CAP, DiscreteMeasure
 from .spaces import FiniteMetricSpace, same_space
-
-#: Cost integerization factor; pivoting is exact on round(d^p * SCALE).
-SCALE = 10**9
 
 #: Rows priced per step of the block search (see ``_price``). On random
 #: Euclidean W_2 solves at n = 128 and 256 (2-vCPU Xeon), 8 to 32 rows
@@ -130,25 +127,27 @@ def wasserstein_p(
     check_p(p)
     flipped = nu.weights.tobytes() < mu.weights.tobytes()
     src, dst = (nu, mu) if flipped else (mu, nu)
-    rows = src.support
-    cols = dst.support
-    # take() returns a C-ordered matrix ([:, cols] would not), so the row
-    # blocks that pricing reads are contiguous.
-    cost = space.dist[rows].take(cols, axis=1)
-    cost **= p
-    # Guard on the float side: the int64 cast itself wraps on overflow.
-    biggest = float(cost.max(initial=0.0)) * SCALE
-    if not np.isfinite(biggest) or biggest * (len(rows) + len(cols) + 2) >= 2.0**60:
-        raise SolverFailure(
-            "scaled costs too large for exact pivoting; rescale distances "
-            "toward the documented O(1)-O(1e3) range"
-        )
-    cost *= SCALE
-    cost_int = np.rint(cost, out=cost).astype(np.int64)
+    rows, cols = src.support, dst.support
+    cost_int = _integer_costs(space.dist[rows].take(cols, axis=1), p)
     state = _SolverState(rows, cols,
                          *_network_simplex(src.weights[rows], dst.weights[cols], cost_int),
                          flipped)
     return _coupling_from_state(state, space, p)
+
+
+def _integer_costs(dist_block: np.ndarray, p: float) -> np.ndarray:
+    """``dist_block ** p`` times the power of two that puts the top cost under
+    2**60 / (m + n + 2) (by frexp(top): the product may be inf), so no int64
+    potential or reduced cost overflows, rounded. Overwrites the block, which
+    must be C-ordered for pricing. ``SolverFailure`` if top is inf or 0, or shift > 1023."""
+    top_dist = dist_block.max(initial=0.0)
+    with np.errstate(over="ignore"):
+        cost, top = np.power(dist_block, p, out=dist_block), top_dist ** p
+    shift = 60 - math.frexp(top)[1] - (sum(dist_block.shape) + 2).bit_length()
+    if not np.isfinite(top) or top == 0.0 < top_dist or shift > 1023:
+        raise SolverFailure(f"d**p = {top:.3g} at d = {top_dist:.3g} has no exact scale")
+    cost *= 2.0**shift
+    return np.rint(cost, out=cost).astype(np.int64)
 
 
 def _coupling_from_state(

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -267,6 +268,33 @@ class TestTransport:
         )
         assert result.exit_code == 1
         assert json.loads(result.output)["error"] == "SpaceMismatch"
+
+    def test_value_scales_with_the_metric_file(self, runner, tmp_path):
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(0.0, 4.0, (12, 3))
+        dist = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+        weights = rng.uniform(0.1, 1.0, (2, 12)).tolist()
+        values = []
+        for s in (1.0, 1e-6):
+            space = {"points": [str(i) for i in range(12)], "base": 0,
+                     "metric": (dist * s).tolist()}
+            mu, nu = (write_doc(tmp_path / f"{name}{s:g}.json",
+                                {"space": space, "weights": w})
+                      for name, w in zip(("mu", "nu"), weights))
+            result = runner.invoke(main, ["transport", "--mu", str(mu), "--nu", str(nu)])
+            assert result.exit_code == 0
+            values.append(float(result.output.removeprefix("w2 = ")))
+        assert values[1] == pytest.approx(1e-6 * values[0], rel=1e-12)
+
+    def test_overflowing_costs_exit_1_with_solver_failure(self, runner, tmp_path):
+        space = two_point_doc(1e200)
+        mu = write_doc(tmp_path / "mu.json", {"space": space, "weights": [1, 0]})
+        nu = write_doc(tmp_path / "nu.json", {"space": space, "weights": [0, 1]})
+        result = runner.invoke(main, ["transport", "--mu", str(mu), "--nu", str(nu)])
+        assert result.exit_code == 1
+        payload = json.loads(result.stdout)
+        assert payload["error"] == "SolverFailure"
+        assert payload["message"].startswith("d**p = inf")
 
     def test_coupling_file_carries_the_plan(self, runner, path3_files, tmp_path):
         _, mu, nu = path3_files

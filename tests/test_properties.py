@@ -1,6 +1,6 @@
 """Properties of W_p on degenerate inputs: equal or integer masses on
 integer-length cycles and on points of a small integer grid, where many
-pivots move no flow and optima tie."""
+pivots move no flow and optima tie, and on those spaces rescaled."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -70,6 +70,29 @@ def test_monotone_in_p(pair):
     values = [wasserstein_p(*pair, p)[0] for p in (1.0, 1.5, 2.0, 3.0)]
     for lower, higher in zip(values, values[1:]):
         assert lower <= higher * (1 + 1e-12)
+
+
+def rescaled(pair, s):
+    """The pair on its space with every distance multiplied by s. The
+    weights are normalized afresh, so compare with ``rescaled(pair, 1.0)``
+    to the last bit."""
+    space = validate_metric(pair[0].space.dist * s)
+    return [DiscreteMeasure(space, mu.weights) for mu in pair]
+
+
+@given(measure_lists(2), st.sampled_from([1.0, 2.0]),
+       st.sampled_from([1e-8, 1e-6, 1e-5, 1e-3, 0.3, 300.0, 1e5]))
+def test_homogeneous_in_the_distance_scale(pair, p, s):
+    value = wasserstein_p(*rescaled(pair, 1.0), p)[0]
+    assert abs(wasserstein_p(*rescaled(pair, s), p)[0] - s * value) <= 1e-12 * s * value
+
+
+@given(measure_lists(2), st.sampled_from([1.0, 2.0]), st.integers(-30, 20))
+def test_power_of_two_scale_leaves_the_plan_unchanged(pair, p, k):
+    # Each cost is scaled by 2**(k p) exactly, and the solve's own scale
+    # by 2**(-k p), so the integer costs and every pivot are the same.
+    plan = wasserstein_p(*rescaled(pair, 1.0), p)[1].matrix
+    assert wasserstein_p(*rescaled(pair, 2.0**k), p)[1].matrix.tobytes() == plan.tobytes()
 
 
 @st.composite

@@ -146,12 +146,32 @@ class TestWassersteinP:
         second = wasserstein_p(mu, nu, 2.0)[1].matrix
         assert np.array_equal(first, second)
 
-    def test_huge_costs_refused_not_garbled(self):
-        space = validate_metric(np.array([[0.0, 1e8], [1e8, 0.0]]))
-        mu = DiscreteMeasure.dirac(space, 0)
-        nu = DiscreteMeasure.dirac(space, 1)
-        with pytest.raises(SolverFailure):
-            wasserstein_p(mu, nu, 3.0)
+    @staticmethod
+    def _two_points(d, p):
+        space = validate_metric(np.array([[0.0, d], [d, 0.0]]))
+        return wasserstein_p(DiscreteMeasure.dirac(space, 0),
+                             DiscreteMeasure.dirac(space, 1), p)[0]
+
+    def test_huge_costs_solved_exactly(self):
+        # The cost 1e24 is exact; its float cube root is 1.04e-15 below 1e8.
+        assert self._two_points(1e8, 3.0) == pytest.approx(1e8, rel=2e-15)
+
+    def test_overflowing_costs_refused(self):
+        # d**p is inf; the suite turns any escaping RuntimeWarning into an
+        # error, so this also checks that none escapes.
+        with pytest.raises(SolverFailure, match=r"= inf at d = 1e\+200 has no exact scale"):
+            self._two_points(1e200, 2.0)
+
+    def test_costs_below_every_power_of_two_scale_refused(self):
+        # d**p = 1e-320 is subnormal: 2**shift would exceed the float range.
+        with pytest.raises(SolverFailure, match=r"= 1e-320 at d = 1e-160 has"):
+            self._two_points(1e-160, 2.0)
+
+    def test_costs_that_all_underflow_refused(self):
+        space = dyadic_interval_space(1)  # points 0, 1/2, 1
+        with pytest.raises(SolverFailure, match=r"= 0 at d = 0.5 has"):
+            wasserstein_p(DiscreteMeasure.dirac(space, 0),
+                          DiscreteMeasure.dirac(space, 1), 1e6)
 
 
 class TestBruteForceOracle:
@@ -583,9 +603,8 @@ def simplex_corpus():
 def simplex_inputs(mu, nu, p):
     """The integer problem wasserstein_p hands the simplex, unflipped."""
     rows, cols = mu.support, nu.support
-    cost = mu.space.dist[np.ix_(rows, cols)] ** p
     return (mu.weights[rows], nu.weights[cols],
-            np.rint(cost * transport.SCALE).astype(np.int64))
+            transport._integer_costs(mu.space.dist[np.ix_(rows, cols)], p))
 
 
 def assert_tree_matches_rebuild(parent, depth, basic, m, n):
@@ -663,8 +682,8 @@ def reference_alternates(coupling, limit):
     flows, basic = dict_state(st.parent, st.flow, m)
     parent, order = _reference_tree(basic, m, n)
     depth = _reference_depths(parent, order)
-    cost = coupling.space.dist[np.ix_(st.rows, st.cols)] ** coupling.p
-    cost_int = np.rint(cost * transport.SCALE).astype(np.int64)
+    cost_int = transport._integer_costs(coupling.space.dist[np.ix_(st.rows, st.cols)],
+                                        coupling.p)
     u, v = _reference_potentials(parent, order, cost_int)
     reduced = cost_int - u[:, None] - v[None, :]
     arcs = [(int(i), int(j)) for i, j in zip(*np.nonzero(reduced == 0)) if (i, j) not in basic]
@@ -707,7 +726,7 @@ def corpus_digest() -> str:
     return h.hexdigest()
 
 
-CORPUS_DIGEST = "e4d02dd3caf0292c35cc82905bfb7ef0aac29eda95181bd43dd4ae1c00734f77"
+CORPUS_DIGEST = "169f7d16b2760b6c0da24690d9febd30bf29e23ba3155c60c060803723a66c18"
 
 
 def test_corpus_digest_is_unchanged():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from .curvature import estimate_k
+from .curvature import ENTROPY_TOL, estimate_k
 from .errors import WasserlimError
 from .geodesics import displacement_path
 from .limits import (
@@ -186,7 +186,7 @@ def geodesic(mu0_path, mu1_path, grid, out_path):
 @click.option("--pairs", default=50, help="Number of sampled density pairs.")
 @click.option("--seed", default=0, help="Sampling seed.")
 @click.option("--k-hint", default=0.0, help="K to compare the witnessed value against.")
-@click.option("--tol", default=1e-7, help="Entropy comparison tolerance.")
+@click.option("--tol", default=ENTROPY_TOL, help="Entropy comparison tolerance.")
 @click.option("--out", "out_path", default=None, help="Write the report JSON here.")
 def cd(ref_path, pairs, seed, k_hint, tol, out_path):
     """Witness a curvature lower bound via midpoint entropy convexity."""

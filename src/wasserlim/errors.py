@@ -87,10 +87,10 @@ class QuantizationBudgetExceeded(WasserlimError):
 # -- transport --------------------------------------------------------------
 
 class SolverFailure(WasserlimError):
-    """The transport solver cannot give an exact answer: the costs d**p
-    leave the range a float can scale exactly (they overflow, underflow
-    to zero, or are too small for any power-of-two scale), or pivoting
-    reached an inconsistent state, which signals a bug."""
+    """The transport solver cannot give an exact answer: the largest cost
+    d**p overflows, a plan moves mass at a p-cost below the normal float
+    range (some d**p has underflowed), or pivoting reached an
+    inconsistent state, which signals a bug."""
 
 
 class NotUniformCloud(WasserlimError):

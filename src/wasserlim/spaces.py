@@ -275,11 +275,11 @@ def covering_number(
         return greedy
     if n >= 20:
         raise ValueError("exact covering search is limited to n < 20")
+    # Returns by k = greedy.k: the greedy centers are one of the combinations.
     for k in range(1, greedy.k + 1):
         for combo in itertools.combinations(range(n), k):
             if np.all(dist[list(combo)].min(axis=0) <= epsilon):
                 return CoveringCertificate(float(epsilon), tuple(combo))
-    return greedy  # unreachable: greedy itself is a valid cover
 
 
 def graph_metric(

@@ -11,8 +11,8 @@ Two independent routes:
   (its flows are summed over the final tree), and the cost is recomputed
   from it in floating point, so the returned optimum is bit-stable.
 * ``assignment_wasserstein``: expands equal-weight clouds to atom lists and
-  solves the assignment problem with scipy's exact solver; shares no code
-  with the simplex.
+  solves the assignment problem with scipy's exact solver; shares no
+  optimization code with the simplex.
 
 The test suite checks both against an enumeration of the transport
 polytope's vertices on small instances.
@@ -42,6 +42,9 @@ from .spaces import FiniteMetricSpace, same_space
 #: were equally fast and 64 slower: smaller blocks take more pivots,
 #: larger ones price more cells per pivot.
 _BLOCK_ROWS = 16
+
+#: The least normal float: a p-cost below it has lost precision to underflow.
+_TINY = np.finfo(np.float64).tiny
 
 #: Largest expanded cloud size the assignment route will materialize; the
 #: cost matrix is dense, so this bounds memory at ~32 MB.
@@ -138,16 +141,35 @@ def wasserstein_p(
 def _integer_costs(dist_block: np.ndarray, p: float) -> np.ndarray:
     """``dist_block ** p`` times the power of two that puts the top cost under
     2**60 / (m + n + 2) (by frexp(top): the product may be inf), so no int64
-    potential or reduced cost overflows, rounded. Overwrites the block, which
-    must be C-ordered for pricing. ``SolverFailure`` if top is inf or 0, or shift > 1023."""
+    potential or reduced cost overflows, rounded. ``np.ldexp`` scales exactly
+    for any shift, so a solve is invariant to the distance scale, though not
+    to the block's dynamic range: a cost below about (m + n + 2) * 2**-60 of
+    the top rounds to 0. Overwrites the block, which must be C-ordered for
+    pricing. ``SolverFailure`` if the top cost overflows; a plan whose costs
+    underflowed is refused at its value (``_pth_root``)."""
     top_dist = dist_block.max(initial=0.0)
     with np.errstate(over="ignore"):
         cost, top = np.power(dist_block, p, out=dist_block), top_dist ** p
-    shift = 60 - math.frexp(top)[1] - (sum(dist_block.shape) + 2).bit_length()
-    if not np.isfinite(top) or top == 0.0 < top_dist or shift > 1023:
+    if not np.isfinite(top):
         raise SolverFailure(f"d**p = {top:.3g} at d = {top_dist:.3g} has no exact scale")
-    cost *= 2.0**shift
+    shift = 60 - math.frexp(top)[1] - (sum(dist_block.shape) + 2).bit_length()
+    np.ldexp(cost, shift, out=cost)
     return np.rint(cost, out=cost).astype(np.int64)
+
+
+def _pth_root(cost_pow: float, p: float, dist: np.ndarray, mass: np.ndarray) -> float:
+    """W_p from a plan's p-cost ``cost_pow``; the plan's cells move ``mass``
+    over ``dist``.
+
+    ``SolverFailure`` if the p-cost is below the normal float range while
+    some cell moves mass over a positive distance: some ``d**p`` underflowed,
+    so the value (and the plan chosen on it) cannot be trusted, as when
+    ``0.5**1e6`` reads 0. The distances are read only then.
+    """
+    if cost_pow < _TINY and np.any(dist[mass > 0] > 0.0):
+        raise SolverFailure(f"p-cost {cost_pow:.3g} of a plan that moves mass "
+                            "is below the normal float range")
+    return cost_pow ** (1.0 / p)
 
 
 def _coupling_from_state(
@@ -164,10 +186,11 @@ def _coupling_from_state(
     i, j = _basic_cells(state.parent, len(state.rows))
     order = np.argsort(i * len(state.cols) + j)
     x, y, f = state.rows[i[order]], state.cols[j[order]], state.flow[1:][order]
-    cost_pow = 0.0 + np.cumsum(f * space.dist[x, y] ** p)[-1]
+    d = space.dist[x, y]
+    cost_pow = 0.0 + np.cumsum(f * d ** p)[-1]
     gamma = np.zeros((space.n_points, space.n_points))
     gamma[(y, x) if state.flipped else (x, y)] = f
-    value = cost_pow ** (1.0 / p)
+    value = _pth_root(cost_pow, p, d, f)
     return value, Coupling(space, gamma, value, p, state)
 
 
@@ -259,7 +282,8 @@ def assignment_wasserstein(
 
     ridx, sigma = linear_sum_assignment(cost)
     cost_pow = float(cost[ridx, sigma].sum()) / common
-    value = cost_pow ** (1.0 / p)
+    value = _pth_root(cost_pow, p, space.dist[atoms_a[ridx], atoms_b[sigma]],
+                      np.ones(common))
     return value, Assignment(tuple(int(s) for s in sigma), value, p,
                              tuple(int(x) for x in atoms_a),
                              tuple(int(x) for x in atoms_b))
@@ -308,9 +332,10 @@ def nearest_atom_projection(
     tau = {int(x): int(atoms[c]) for x, c in zip(sources, choice)}
     push = np.zeros(space.n_points)
     np.add.at(push, atoms[choice], mu.weights[sources])
-    cost_pow = float(mu.weights[sources] @ d_pow[np.arange(len(sources)), choice])
+    mass = mu.weights[sources]
+    cost_pow = float(mass @ d_pow[np.arange(len(sources)), choice])
     return ProjectionResult(tau, DiscreteMeasure(space, push),
-                            cost_pow ** (1.0 / p))
+                            _pth_root(cost_pow, p, space.dist[sources, atoms[choice]], mass))
 
 
 # -- network simplex core ---------------------------------------------------

@@ -438,11 +438,12 @@ class TestGeodesic:
 
     def test_unparseable_grid_is_a_usage_error(self, runner, path3_files):
         _, mu, nu = path3_files
-        result = runner.invoke(
-            main,
-            ["geodesic", "--mu0", str(mu), "--mu1", str(nu), "--grid", "0,lots,1"],
-        )
-        assert result.exit_code == 2
+        for grid in ("0,lots,1", ","):
+            result = runner.invoke(
+                main,
+                ["geodesic", "--mu0", str(mu), "--mu1", str(nu), "--grid", grid],
+            )
+            assert result.exit_code == 2, grid
 
     def test_metric_only_space_is_a_domain_error(self, runner, tmp_path):
         mu0 = write_doc(
@@ -655,6 +656,14 @@ class TestSequence:
         result = runner.invoke(main, ["sequence", "--dir", str(d)])
         assert result.exit_code == 1
         assert "mu" in json.loads(result.output)["message"]
+
+    def test_case_without_space_is_a_domain_error(self, runner, tmp_path):
+        d = tmp_path / "cases"
+        d.mkdir()
+        write_doc(d / "a.json", {"mu": [1, 0], "nu": [0, 1]})
+        result = runner.invoke(main, ["sequence", "--dir", str(d)])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["message"] == "a.json: case file needs a 'space' entry"
 
     def test_empty_directory_is_a_domain_error(self, runner, tmp_path):
         d = tmp_path / "empty"

@@ -97,6 +97,23 @@ class TestTailVerdict:
             tail_verdict("q", [1.0, 1.0], tol=tol)
 
 
+class TestSpaceSequence:
+    @pytest.mark.parametrize("case, error, message", [
+        ("empty", ValueError, "sequence needs at least one entry"),
+        ("labels", ValueError, "one label per entry"),
+        ("off-space", SpaceMismatch, "reference measure off its entry's space"),
+    ])
+    def test_malformed_sequence_rejected(self, path5, path3, case, error, message):
+        entry = (path5, DiscreteMeasure.uniform(path5))
+        entries, labels = {
+            "empty": ((), ()),
+            "labels": ((entry, entry), ("only",)),
+            "off-space": (((path5, DiscreteMeasure.uniform(path3)),), ()),
+        }[case]
+        with pytest.raises(error, match=message):
+            SpaceSequence(entries, labels)
+
+
 class TestSequenceWasserstein:
     def test_constant_instance(self, path5):
         mu = DiscreteMeasure(path5, np.array([0.5, 0.5, 0.0, 0.0, 0.0]))

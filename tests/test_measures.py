@@ -41,6 +41,15 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure(two_point, np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("weights, message", [
+        ([1.0], r"weights: expected 2 entries, got shape \(1,\)"),
+        ([1.0, np.nan], "weights: entries must be finite"),
+        ([1.0, np.inf], "weights: entries must be finite"),
+    ], ids=["short", "nan", "inf"])
+    def test_malformed_weights_rejected(self, two_point, weights, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteMeasure(two_point, weights)
+
     def test_dirac_and_uniform(self, path5):
         assert DiscreteMeasure.dirac(path5, 3).support.tolist() == [3]
         assert DiscreteMeasure.uniform(path5).weights.tolist() == [0.2] * 5
@@ -123,6 +132,10 @@ class TestEmpiricalSample:
         emp = empirical_sample(mu, 1, rng_seed=9)
         assert emp.support.size == 1
         assert emp.support[0] in mu.support
+
+    def test_needs_a_draw(self, path5):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            empirical_sample(DiscreteMeasure.uniform(path5), 0, rng_seed=1)
 
     def test_seed_determinism(self, path5):
         mu = DiscreteMeasure.uniform(path5)

@@ -44,6 +44,17 @@ class TestValidateMetric:
     def test_negative_rejected(self):
         with pytest.raises(NegativeDistance):
             validate_metric(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        with pytest.raises(NegativeDistance, match=r"d\(1,1\) = 0.5 != 0"):
+            validate_metric(np.array([[0.0, 1.0], [1.0, 0.5]]))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"base_point": 2}, "base_point 2 out of range 0..1"),
+        ({"base_point": -1}, "base_point -1 out of range 0..1"),
+        ({"names": ["a"]}, "names length must match point count"),
+    ], ids=["base_point_n", "base_point_minus1", "names"])
+    def test_base_point_and_names_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), **kwargs)
 
     def test_triangle_violation_names_triple(self):
         with pytest.raises(TriangleViolation) as exc:
@@ -131,6 +142,15 @@ class TestGraphMetric:
         space = graph_metric(1, [])
         assert space.n_points == 1
         assert diameter(space) == 0.0
+
+    def test_no_vertex_rejected(self):
+        with pytest.raises(ValueError, match="graph needs at least one vertex"):
+            graph_metric(0, [])
+
+    def test_bare_metric_has_no_path_tree(self):
+        space = validate_metric(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="space has no geodesic structure"):
+            space.shortest_path_tree(0)
 
     def test_disconnected_rejected(self):
         with pytest.raises(Disconnected):

@@ -162,16 +162,27 @@ class TestWassersteinP:
         with pytest.raises(SolverFailure, match=r"= inf at d = 1e\+200 has no exact scale"):
             self._two_points(1e200, 2.0)
 
-    def test_costs_below_every_power_of_two_scale_refused(self):
-        # d**p = 1e-320 is subnormal: 2**shift would exceed the float range.
-        with pytest.raises(SolverFailure, match=r"= 1e-320 at d = 1e-160 has"):
-            self._two_points(1e-160, 2.0)
-
-    def test_costs_that_all_underflow_refused(self):
-        space = dyadic_interval_space(1)  # points 0, 1/2, 1
-        with pytest.raises(SolverFailure, match=r"= 0 at d = 0.5 has"):
-            wasserstein_p(DiscreteMeasure.dirac(space, 0),
-                          DiscreteMeasure.dirac(space, 1), 1e6)
+    @pytest.mark.parametrize("route, case", [
+        (wasserstein_p, "subnormal"),
+        (wasserstein_p, "all-underflow"),
+        (wasserstein_p, "partial"),
+        (assignment_wasserstein, "partial"),
+        (nearest_atom_projection, "partial"),
+    ], ids=["subnormal", "all-underflow", "partial-simplex", "partial-assignment",
+            "partial-projection"])
+    def test_plan_moving_mass_below_the_float_range_refused(self, route, case):
+        dyadic = dyadic_interval_space(1)  # points 0, 1/2, 1
+        if case == "subnormal":  # d**p = 1e-320
+            space = validate_metric(np.array([[0.0, 1e-160], [1e-160, 0.0]]))
+            mu, nu, p = DiscreteMeasure.dirac(space, 0), DiscreteMeasure.dirac(space, 1), 2.0
+        elif case == "all-underflow":  # every cost 0.5**1e6 = 0
+            mu, nu, p = DiscreteMeasure.dirac(dyadic, 0), DiscreteMeasure.dirac(dyadic, 1), 1e6
+        else:  # true value about 0.49999965, but the cells from 0 to 1/2 cost 0
+            mu = DiscreteMeasure(dyadic, np.array([0.5, 0.0, 0.5]))
+            nu, p = DiscreteMeasure(dyadic, np.array([0.0, 0.5, 0.5])), 1e6
+        with pytest.raises(SolverFailure, match="of a plan that moves mass is below "
+                                                "the normal float range"):
+            route(mu, nu, p)
 
 
 class TestBruteForceOracle:
